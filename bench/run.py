@@ -89,12 +89,17 @@ def cold_start(workload: str, seed: int, importtime: bool) -> tuple[float, str]:
     return float(proc.stdout.split()[0]), proc.stderr
 
 
-def run_case(lib, case, tally: Tally, samples: Samples, kernels=(), count=True):
+def run_case(lib, case, tally: Tally, samples: Samples, kernels=(), count=True,
+             tracer=None):
     """Time the kernels, then one case; check its outputs outside the timed
-    interval."""
+    interval.  A tracer gets the case's scale to the reference speed."""
     if count:
         tally.attempted += 1
     reference = calibrate.kernel_time(kernels)
+    if tracer is not None:
+        recent = samples.reference[-(KERNEL_WINDOW - 1):]
+        tracer.scale = (calibrate.reference_time(kernels)
+                        / statistics.median(recent + [reference]))
     t0 = time.perf_counter()
     try:
         outputs = [call.run(lib) for call in case]
@@ -139,7 +144,8 @@ def measure(args, lib, cases, tally: Tally, tracer=None) -> dict:
                 tracer.install()
                 try:
                     for case in cases:
-                        run_case(lib, case, tally, traced, kernels)
+                        run_case(lib, case, tally, traced, kernels,
+                                 tracer=tracer)
                 finally:
                     tracer.uninstall()
             rounds += 1
@@ -187,10 +193,12 @@ def per_layer(args, lib, m: dict, tracer, tally: Tally) -> dict:
         if other == args.workload:
             continue
         tracer.tag = other
+        samples, kernels = Samples(), calibrate.KERNELS[other]
         tracer.install()
         try:
             for case in workloads.make_cases(other, args.seed):
-                run_case(lib, case, tally, Samples(), count=False)
+                run_case(lib, case, tally, samples, kernels, count=False,
+                         tracer=tracer)
         finally:
             tracer.uninstall()
     versions = {"python": platform.python_version(),
@@ -203,9 +211,10 @@ def per_layer(args, lib, m: dict, tracer, tally: Tally) -> dict:
     scipy_ms, pdm_ms = zip(*m["imports"])
     metrics["setup.import_scipy_linalg_ms"] = (statistics.median(scipy_ms), "ms")
     metrics["setup.import_pdmbubble_ms"] = (statistics.median(pdm_ms), "ms")
-    plain, traced = (statistics.median(m[k].normalized(1.0, KERNEL_WINDOW))
+    # Each traced round repeats the untraced round before it, case by case.
+    plain, traced = (m[k].normalized(1.0, KERNEL_WINDOW)
                      for k in ("plain", "traced"))
-    overhead = traced / plain - 1
+    overhead = statistics.median(t / p for p, t in zip(plain, traced)) - 1
     metrics["tracing.overhead_pct"] = (overhead * 100, "%")
     return metrics
 

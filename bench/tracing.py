@@ -5,7 +5,8 @@ benchmark's own files.
 wrapper, in every pdmbubble module that binds it (so ``cli.assemble`` is traced
 as well as ``spectral.assemble``), and ``uninstall`` puts the originals back.
 Spans (name, start, end, parent) are kept in memory and written out when the
-run ends.
+run ends.  Each span also keeps the scale to the reference machine speed that
+the run set for its case (calibrate.py); per-layer times are scaled by it.
 """
 
 from __future__ import annotations
@@ -50,8 +51,9 @@ def _size(name, args):
 
 class Tracer:
     def __init__(self):
-        self.spans = []  # [name, start, end, parent, tag, size, terms]
+        self.spans = []  # [name, start, end, parent, tag, size, terms, scale]
         self.tag = ""
+        self.scale = 1.0
         self._stack = []
         self._patches = []
 
@@ -62,7 +64,7 @@ class Tracer:
         def traced(*args, **kwargs):
             index = len(spans)
             span = [name, 0.0, 0.0, stack[-1] if stack else -1, self.tag,
-                    _size(name, args), 0]
+                    _size(name, args), 0, self.scale]
             spans.append(span)
             stack.append(index)
             span[1] = perf_counter()
@@ -102,8 +104,14 @@ class Tracer:
         self._patches.clear()
 
     def dump(self) -> list[dict]:
-        keys = ("name", "start", "end", "parent", "workload", "size", "terms")
+        keys = ("name", "start", "end", "parent", "workload", "size", "terms",
+                "scale")
         return [dict(zip(keys, span)) for span in self.spans]
+
+
+def _duration(span) -> float:
+    """Seconds at the reference machine speed."""
+    return (span[2] - span[1]) * span[7]
 
 
 def _p90(values):
@@ -118,7 +126,7 @@ def layer_rows(spans, versions: dict) -> list[dict]:
         groups.setdefault((s[0], s[4]), []).append(s)
     rows = []
     for (name, workload), group in sorted(groups.items()):
-        durations = [s[2] - s[1] for s in group]
+        durations = [_duration(s) for s in group]
         sizes = [s[5] for s in group if s[5] is not None]
         rows.append({
             "layer": name, "case": workload,
@@ -181,19 +189,19 @@ def layer_metrics(spans, own: str, own_rounds: int) -> dict:
 
     metrics = {}
     for metric, name in TIMED.items():
-        metrics[metric] = (median([s[2] - s[1] for s in named(name)], 1e3), "ms")
+        metrics[metric] = (median([_duration(s) for s in named(name)], 1e3), "ms")
     for metric, (name, scale) in PER_UNIT.items():
         unit = "ns/point" if scale == 1e9 else "us/level"
         metrics[metric] = (
-            median([(s[2] - s[1]) * scale / s[5] for s in named(name)]), unit)
+            median([_duration(s) * scale / s[5] for s in named(name)]), unit)
 
     index = {id(s): i for i, s in enumerate(spans)}
     child_time = {}
     for s in spans:
         if s[3] >= 0 and spans[s[3]][0] == "cli.run":
-            child_time[s[3]] = child_time.get(s[3], 0.0) + s[2] - s[1]
+            child_time[s[3]] = child_time.get(s[3], 0.0) + _duration(s)
     metrics["cli.self_ms"] = (median(
-        [s[2] - s[1] - child_time.get(index[id(s)], 0.0)
+        [_duration(s) - child_time.get(index[id(s)], 0.0)
          for s in named("cli.run")], 1e3), "ms")
 
     def per_round(keep, value):
