@@ -12,16 +12,16 @@ from .algebra import (
     PowerLawMass,
     diffop_apply_numeric,
     expand_sandwich,
-    kinetic_sandwich,
-    polyx_derivative,
 )
 from .helium import (
     DEFAULT_HE4,
     DerivedParams,
+    EffectiveHamiltonianZ,
     PhysicalParams,
     PhysicsError,
     barrier_info,
     derived_params,
+    effective_hamiltonian_z,
     potential_profile,
 )
 from .ordering import (
@@ -48,12 +48,10 @@ from .pointmass import (
 )
 from .spectral import Grid, SymTriMatrix, assemble, compare_spectra, eigenvalues
 from .susy import (
-    EffectiveHamiltonianZ,
     LadderOp,
     PartnerPotential,
     Superpotential,
     commutator_check,
-    effective_hamiltonian_z,
     inverse_square_coefficient,
     ladder_operator,
     ladder_product,

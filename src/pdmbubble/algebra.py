@@ -286,6 +286,8 @@ class PolyX:
 
     def scale(self, k) -> "PolyX":
         k = Coeff.of(k)
+        if k == ONE:
+            return self
         return PolyX([(c * k, e) for c, e in self.terms])
 
     def derivative(self) -> "PolyX":
@@ -328,10 +330,21 @@ class PolyX:
     def __repr__(self):
         return f"PolyX({list(self.terms)!r})"
 
-
-def polyx_derivative(f: PolyX) -> PolyX:
-    """Termwise power-rule derivative."""
-    return f.derivative()
+    # -- serialization ---------------------------------------------------------
+    def to_jsonable(self) -> list:
+        entries = []
+        for c, e in self.terms:
+            entry = {
+                "p": str(c.a),
+                "q": str(c.b),
+                "exponent_num": e.numerator,
+                "exponent_den": e.denominator,
+            }
+            if c.c or c.d:
+                entry["ip"] = str(c.c)
+                entry["iq"] = str(c.d)
+            entries.append(entry)
+        return entries
 
 
 class DiffOp:
@@ -344,20 +357,15 @@ class DiffOp:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Iterable[tuple] = (), prefactor=1):
-        pf = Coeff.of(prefactor)
         merged: dict[int, PolyX] = {}
         for poly, order in terms:
             if order < 0:
                 raise ValueError("negative derivative order")
             merged[order] = merged.get(order, PolyX.zero()) + poly
+        pf = Coeff.of(prefactor)
+        scaled = ((merged[k].scale(pf), k) for k in sorted(merged))
         object.__setattr__(
-            self,
-            "terms",
-            tuple(
-                (merged[k].scale(pf), k)
-                for k in sorted(merged)
-                if not merged[k].scale(pf).is_zero()
-            ),
+            self, "terms", tuple((p, k) for p, k in scaled if not p.is_zero())
         )
 
     def __setattr__(self, *_):
@@ -451,21 +459,10 @@ class DiffOp:
 
     # -- serialization ---------------------------------------------------------
     def to_jsonable(self) -> dict:
-        terms = []
-        for poly, order in sorted(self.terms, key=lambda t: -t[1]):
-            entries = []
-            for c, e in poly.terms:
-                entry = {
-                    "p": str(c.a),
-                    "q": str(c.b),
-                    "exponent_num": e.numerator,
-                    "exponent_den": e.denominator,
-                }
-                if c.c or c.d:
-                    entry["ip"] = str(c.c)
-                    entry["iq"] = str(c.d)
-                entries.append(entry)
-            terms.append({"order": order, "poly": entries})
+        terms = [
+            {"order": order, "poly": poly.to_jsonable()}
+            for poly, order in sorted(self.terms, key=lambda t: -t[1])
+        ]
         return {"prefactor": {"p": "1", "q": "0"}, "terms": terms}
 
     def to_json(self) -> str:
@@ -524,22 +521,17 @@ class OrderingParam:
         return Fraction(-1, 2) - self.a
 
 
-def kinetic_sandwich(mass: PowerLawMass, outer, inner) -> DiffOp:
-    """-(1/2) m^outer D m^inner D m^outer, expanded by composition."""
-    m_out = DiffOp.multiplication(mass.power(outer))
-    m_in = DiffOp.multiplication(mass.power(inner))
-    d = DiffOp.derivative()
-    return (
-        m_out.compose(d).compose(m_in).compose(d).compose(m_out).scale(Fraction(-1, 2))
-    )
-
-
 def expand_sandwich(mass: PowerLawMass, ord: OrderingParam) -> DiffOp:
     """The two-parameter kinetic family -(1/2) m^a D m^{2b} D m^a.
 
     Always computed by operator composition, never from a pasted closed form.
     """
-    return kinetic_sandwich(mass, ord.a, 2 * ord.b)
+    m_out = DiffOp.multiplication(mass.power(ord.a))
+    m_in = DiffOp.multiplication(mass.power(2 * ord.b))
+    d = DiffOp.derivative()
+    return (
+        m_out.compose(d).compose(m_in).compose(d).compose(m_out).scale(Fraction(-1, 2))
+    )
 
 
 def diffop_apply_numeric(

@@ -26,6 +26,7 @@ from .helium import (
     PhysicsError,
     barrier_info,
     derived_params,
+    effective_hamiltonian_z,
     potential_profile,
 )
 from .ordering import MatchError, match_orderings, named_orderings
@@ -40,7 +41,6 @@ from .pointmass import (
 from .spectral import AssembleError, Grid, assemble, eigenvalues
 from .susy import (
     commutator_check,
-    effective_hamiltonian_z,
     inverse_square_coefficient,
     ladder_operator,
     normalize_source,
@@ -76,20 +76,11 @@ def _fmt(x: float) -> str:
     return f"{x:.11e}"
 
 
-def _poly_jsonable(poly) -> list:
-    out = []
-    for c, e in poly.terms:
-        entry = {
-            "p": str(c.a),
-            "q": str(c.b),
-            "exponent_num": e.numerator,
-            "exponent_den": e.denominator,
-        }
-        if c.c or c.d:
-            entry["ip"] = str(c.c)
-            entry["iq"] = str(c.d)
-        out.append(entry)
-    return out
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
 
 
 def _emit_json(data, out) -> None:
@@ -174,9 +165,9 @@ def _cmd_susy(args, out) -> int:
         "b": str(ordp.b),
         "source": source,
         "paper_source_available": True,
-        "W": _poly_jsonable(w.W),
-        "V_plus": _poly_jsonable(v_plus.V),
-        "V_minus": _poly_jsonable(v_minus.V),
+        "W": w.W.to_jsonable(),
+        "V_plus": v_plus.V.to_jsonable(),
+        "V_minus": v_minus.V.to_jsonable(),
         "c_a": str(inverse_square_coefficient(ordp.a, source)),
         "checks": {
             "commutator_zero": commutator_check(mass, ordp).is_zero(),
@@ -260,9 +251,13 @@ def _cmd_scan(args, out) -> int:
         args.zmin + i * (args.zmax - args.zmin) / (args.points - 1)
         for i in range(args.points)
     ]
+    # every ratio is validated before the first line is written
+    states = [
+        (ratio, derived_params(base.with_pressure(ratio * base.P_v)))
+        for ratio in ratios
+    ]
     out.write("pressure_ratio,z,V_a_eV,V_sys_eV,V_total_eV\n")
-    for ratio in ratios:
-        d = derived_params(base.with_pressure(ratio * base.P_v))
+    for ratio, d in states:
         for row in potential_profile(args.a, d, zs, args.source):
             out.write(
                 f"{_fmt(ratio)},{_fmt(row.z)},{_fmt(row.V_a_eV)},"
@@ -297,12 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_weyl)
 
     p = sub.add_parser("susy", help="superpotential, partner potentials, c_a")
-    p.add_argument("--a", type=Fraction, required=True)
+    p.add_argument("--a", type=_fraction, required=True)
     p.add_argument("--source", default="expanded")
     p.set_defaults(func=_cmd_susy)
 
     p = sub.add_parser("transform", help="point-mass transform of the sandwich")
-    p.add_argument("--a", type=Fraction, required=True)
+    p.add_argument("--a", type=_fraction, required=True)
     p.add_argument(
         "--pipeline",
         choices=["quantize-first", "transform-first"],
@@ -315,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_match)
 
     p = sub.add_parser("spectrum", help="finite-domain eigenvalues as CSV")
-    p.add_argument("--a", type=Fraction, required=True)
+    p.add_argument("--a", type=_fraction, required=True)
     p.add_argument("--source", default="expanded")
     p.add_argument("--zmin", type=float, default=0.05)
     p.add_argument("--zmax", type=float, default=3.0)
@@ -326,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="potential curves over pressure as CSV")
     p.add_argument("--pressures", default="0.8,0.95", help="comma list of P/P_v")
-    p.add_argument("--a", type=Fraction, default=Fraction(-1, 3))
+    p.add_argument("--a", type=_fraction, default=Fraction(-1, 3))
     p.add_argument("--source", default="expanded")
     p.add_argument("--zmin", type=float, default=0.05)
     p.add_argument("--zmax", type=float, default=3.0)
@@ -361,3 +356,7 @@ def run(argv=None, stdout=None, stderr=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

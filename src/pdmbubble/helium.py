@@ -2,16 +2,18 @@
 
 Inputs are SI; derived quantities include the critical radius, the barrier
 and mass scales, the kinetic prefactor of the effective z-space Hamiltonian,
-and thermal quantities.
+and thermal quantities.  The effective z-space Hamiltonian in joules, with
+its potentials V_a and V_sys, is defined here as well.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from fractions import Fraction
 
-from .susy import inverse_square_coefficient
+from .algebra import OrderingParam
+from .susy import inverse_square_coefficient, normalize_source
 
 # Pinned constants (SI).
 PLANCK_H = 6.62607015e-34       # J s
@@ -38,6 +40,9 @@ class PhysicalParams:
     rho_v: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise PhysicsError(f"{f.name} must be finite")
         if self.sigma <= 0:
             raise PhysicsError("sigma must be positive")
         if self.rho_L <= 0:
@@ -101,18 +106,44 @@ def derived_params(p: PhysicalParams) -> DerivedParams:
     )
 
 
-def v_sys(z: float, U0: float, c0: float = 0.0) -> float:
-    """System potential U0 z^{4/5} (1 - z^{2/5}) + c0 (J)."""
-    if z <= 0:
-        raise PhysicsError("v_sys requires z > 0")
-    return U0 * z ** 0.8 * (1.0 - z ** 0.4) + c0
+@dataclass(frozen=True)
+class EffectiveHamiltonianZ:
+    """Constant-mass Hamiltonian in z: -k d^2/dz^2 + k c_a / z^2 + V_sys(z),
+    with V_sys = U0 z^{4/5} (1 - z^{2/5}) + c0."""
+
+    kinetic_prefactor: float  # k = hbar^2 / (2 M0 R_c^2), J
+    c_a: Fraction
+    U0: float                 # J
+    c0: float                 # J
+    a: Fraction
+    source: str
+
+    def v_a(self, z: float) -> float:
+        """Ordering-dependent inverse-square potential k c_a / z^2 (J)."""
+        if z <= 0:
+            raise PhysicsError("inverse-square potential requires z > 0")
+        return self.kinetic_prefactor * float(self.c_a) / z**2
+
+    def v_sys(self, z: float) -> float:
+        """System potential U0 z^{4/5} (1 - z^{2/5}) + c0 (J)."""
+        if z <= 0:
+            raise PhysicsError("v_sys requires z > 0")
+        return self.U0 * z**0.8 * (1.0 - z**0.4) + self.c0
 
 
-def v_inverse_square(z: float, k: float, c_a: Fraction) -> float:
-    """Ordering-dependent inverse-square potential k * c_a / z^2 (J)."""
-    if z <= 0:
-        raise PhysicsError("inverse-square potential requires z > 0")
-    return k * float(c_a) / z**2
+def effective_hamiltonian_z(
+    ord: OrderingParam, params: DerivedParams, source: str, c0: float = 0.0
+) -> EffectiveHamiltonianZ:
+    """Effective z-space Hamiltonian for the n = 3 bubble problem, with k and
+    U0 in joules from params."""
+    return EffectiveHamiltonianZ(
+        kinetic_prefactor=params.k,
+        c_a=inverse_square_coefficient(ord.a, source),
+        U0=params.U0,
+        c0=c0,
+        a=ord.a,
+        source=normalize_source(source),
+    )
 
 
 @dataclass(frozen=True)
@@ -138,11 +169,11 @@ class ProfileRow:
 def potential_profile(a, dp: DerivedParams, z_grid, source: str,
                       c0: float = 0.0) -> list[ProfileRow]:
     """Tabulate V_a, V_sys and their sum over a z grid (z > 0 throughout)."""
-    c_a = inverse_square_coefficient(a, source)
+    eff = effective_hamiltonian_z(OrderingParam(a), dp, source, c0)
     rows = []
     for z in z_grid:
-        va = v_inverse_square(z, dp.k, c_a)
-        vs = v_sys(z, dp.U0, c0)
+        va = eff.v_a(z)
+        vs = eff.v_sys(z)
         rows.append(ProfileRow(z=z, V_a_J=va, V_sys_J=vs, V_total_J=va + vs))
     return rows
 

@@ -23,7 +23,7 @@ from .algebra import (
     rational_sqrt,
 )
 from .pointmass import measure_of_map, pm_map, transform_diffop, unit_measure_restore
-from .susy import SOURCE_EXPANDED, SOURCE_PAPER, normalize_source
+from .susy import PAPER_QUADRATIC, SOURCE_EXPANDED, normalize_source
 
 
 class MatchError(Exception):
@@ -136,8 +136,8 @@ def match_orderings(n, target: DiffOp, source: str) -> OrderingSolution:
 
     expanded: solve gamma(a) = gamma_target exactly, then verify each root by
     full operator expansion.  paper: map the target to its unit-measure
-    z-space coefficient and solve 21 + 48a - 144a^2 = 100 c; roots are also
-    run through the same operator-level verification.
+    z-space coefficient c and solve the paper quadratic = 100 c; roots are
+    also run through the same operator-level verification.
     """
     n = _frac(n)
     source = normalize_source(source)
@@ -160,8 +160,8 @@ def match_orderings(n, target: DiffOp, source: str) -> OrderingSolution:
             if c_poly.is_zero()
             else (c_poly.monomial_parts()[0] / s2).rational
         )
-        # 21 + 48 a - 144 a^2 = 100 c
-        c2, c1, c0 = Fraction(-144), Fraction(48), Fraction(21) - 100 * c_val
+        c2, c1, c0 = PAPER_QUADRATIC
+        c0 -= 100 * c_val
     disc, roots = _solve_quadratic(c2, c1, c0)
     checks = tuple(_verify_root(n, a, target, scale) for a in roots)
     return OrderingSolution(

@@ -63,10 +63,6 @@ class ClassicalSymbol:
                 return poly
         return PolyX.zero()
 
-    @property
-    def max_p_power(self) -> int:
-        return max((k for _, k in self.terms), default=0)
-
     def to_text(self) -> str:
         """Pretty-print in a form that reparses to an identical symbol."""
         if not self.terms:

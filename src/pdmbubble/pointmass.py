@@ -75,11 +75,6 @@ def pm_map(n) -> CoordinateMap:
 
 def measure_of_map(map: CoordinateMap) -> Measure:
     """mu(z) = dx/dz = c alpha z^(alpha - 1)."""
-    # c * alpha = c_base^c_exp * alpha; for pm_map this collapses to
-    # (2/(n+2))^(n/(n+2)), but keep the general product form.
-    if map.alpha == 1 and map.c_exp != 0 and map.c_base != 1:
-        # fold alpha = 1 case directly
-        return Measure(map.c_base, map.c_exp, Fraction(0))
     # represent c * alpha exactly when alpha is itself a power of c_base
     # inverse: alpha = c_base^(-1) holds for pm_map since c_base = 1/alpha
     if map.c_base == 1 / map.alpha:

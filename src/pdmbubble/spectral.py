@@ -71,7 +71,6 @@ class SymTriMatrix:
 class SpectralResult:
     eigenvalues: tuple[float, ...]
     grid: Grid
-    operator_fingerprint: str
 
 
 def assemble(
@@ -110,8 +109,7 @@ def assemble(
 
 
 def eigenvalues(matrix: SymTriMatrix, count: int,
-                grid: Grid | None = None,
-                fingerprint: str = "") -> SpectralResult:
+                grid: Grid | None = None) -> SpectralResult:
     """The `count` smallest eigenvalues, by Sturm-sequence bisection."""
     if not 1 <= count <= matrix.size:
         raise ValueError("count must satisfy 1 <= count <= N")
@@ -125,7 +123,6 @@ def eigenvalues(matrix: SymTriMatrix, count: int,
     return SpectralResult(
         eigenvalues=tuple(sorted(float(v) for v in vals)),
         grid=grid if grid is not None else Grid(0.0, 1.0, matrix.size),
-        operator_fingerprint=fingerprint,
     )
 
 

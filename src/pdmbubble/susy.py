@@ -1,8 +1,9 @@
 """Supersymmetric factorization of the power-law-mass kinetic family.
 
 Builds the superpotential and ladder operators, verifies the Heisenberg
-algebra, extracts partner potentials by two routes, and produces the
-effective constant-mass Hamiltonian in the oscillator variable z.
+algebra, extracts partner potentials by two routes, and gives the
+inverse-square coefficient c_a and the symbolic operator in the oscillator
+variable z.  The same Hamiltonian in joules is ``helium.EffectiveHamiltonianZ``.
 
 Two partner-potential sources are carried side by side:
 
@@ -27,7 +28,7 @@ from .algebra import (
     PolyX,
     PowerLawMass,
     _frac,
-    kinetic_sandwich,
+    expand_sandwich,
 )
 
 SOURCE_PAPER = "paper"
@@ -132,9 +133,18 @@ class PartnerPotential:
     source: str
 
 
+#: The paper's quadratic 21 + 48a - 144a^2, as (c2, c1, c0) of c2 a^2 + c1 a + c0.
+#: It is 32 times the x^-5 coefficient of V(+-) and -100 c_a.
+PAPER_QUADRATIC = (Fraction(-144), Fraction(48), Fraction(21))
+
+
+def _paper_quadratic(a: Fraction) -> Fraction:
+    c2, c1, c0 = PAPER_QUADRATIC
+    return c2 * a * a + c1 * a + c0
+
+
 def _paper_partner(ord: OrderingParam, sign: str) -> PolyX:
-    a = ord.a
-    inv5 = (21 + 48 * a - 144 * a * a) * Fraction(1, 32)
+    inv5 = _paper_quadratic(ord.a) / 32
     shift = Fraction(-1, 2) if sign == "+" else Fraction(1, 2)
     return PolyX([(inv5, -5), (Fraction(2, 25), 5), (shift, 0)])
 
@@ -152,10 +162,9 @@ def partner_potential(
             raise ValueError("paper source is transcribed for n = 3 only")
         return PartnerPotential(V=_paper_partner(ord, sign), sign=sign, source=source)
     product = ladder_product(mass, ord, sign)
-    if sign == "+":
-        kinetic = kinetic_sandwich(mass, ord.a, 2 * ord.b)
-    else:
-        kinetic = kinetic_sandwich(mass, ord.b, 2 * ord.a)
+    # A(-) A(+) leaves the sandwich with a and b swapped: ordering b, since
+    # -1/2 - b = a.
+    kinetic = expand_sandwich(mass, ord if sign == "+" else OrderingParam(ord.b))
     residual = product - kinetic
     if residual.order != 0:
         raise AlgebraError(
@@ -168,53 +177,14 @@ def partner_potential(
 def inverse_square_coefficient(a, source: str) -> Fraction:
     """Dimensionless coefficient c_a of the z-space term +k c_a / z^2.
 
-    paper:    c_a = -(21 + 48a - 144a^2)/100
+    paper:    c_a = -q(a)/100, with q the paper quadratic (PAPER_QUADRATIC)
     expanded: c_a = +(144a^2 + 192a + 39)/100
     """
     a = _frac(a)
     source = normalize_source(source)
     if source == SOURCE_PAPER:
-        return -(21 + 48 * a - 144 * a * a) / Fraction(100)
+        return -_paper_quadratic(a) / 100
     return (144 * a * a + 192 * a + 39) / Fraction(100)
-
-
-@dataclass(frozen=True)
-class EffectiveHamiltonianZ:
-    """Constant-mass Hamiltonian in z: -k d^2/dz^2 + k c_a / z^2 + V_sys(z),
-    with V_sys = U0 z^{4/5} (1 - z^{2/5}) + c0."""
-
-    kinetic_prefactor: float  # k = hbar^2 / (2 M0 R_c^2), J
-    c_a: Fraction
-    U0: float                 # J
-    c0: float                 # J
-    a: Fraction
-    source: str
-
-    def v_a(self, z: float) -> float:
-        return self.kinetic_prefactor * float(self.c_a) / z**2
-
-    def v_sys(self, z: float) -> float:
-        return self.U0 * z**0.8 * (1.0 - z**0.4) + self.c0
-
-    def v_total(self, z: float) -> float:
-        return self.v_a(z) + self.v_sys(z)
-
-
-def effective_hamiltonian_z(
-    ord: OrderingParam, params, source: str, c0: float = 0.0
-) -> EffectiveHamiltonianZ:
-    """Effective z-space Hamiltonian for the n = 3 bubble problem.
-
-    params is a helium DerivedParams (supplies k and U0 in joules).
-    """
-    return EffectiveHamiltonianZ(
-        kinetic_prefactor=params.k,
-        c_a=inverse_square_coefficient(ord.a, source),
-        U0=params.U0,
-        c0=c0,
-        a=ord.a,
-        source=normalize_source(source),
-    )
 
 
 def z_space_operator(ord: OrderingParam, source: str) -> DiffOp:

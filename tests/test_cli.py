@@ -1,8 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
+import pdmbubble
 from pdmbubble.cli import run
 
 
@@ -67,6 +73,12 @@ class TestParams:
         code, out, err = invoke("params", "--pressure-ratio", "1.2")
         assert code == 2
         assert err.startswith("error: domain:")
+
+    def test_non_finite_pressure_ratio_is_domain_error(self):
+        code, out, err = invoke("params", "--pressure-ratio", "nan")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: domain:")
+        assert err.count("\n") == 1
 
 
 class TestWeyl:
@@ -226,6 +238,18 @@ class TestSpectrum:
         assert code == 2
         assert err.startswith("error: domain:")
 
+    @pytest.mark.parametrize(
+        "argv", [("spectrum", "--a=-1/3", "--zmin", "-1"), ("scan", "--zmin", "0")]
+    )
+    def test_nonpositive_z_is_one_domain_error(self, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(*argv)
+        assert code == 2
+        assert err.startswith("error: domain:")
+        assert "requires z > 0" in err
+        assert err.count("\n") == 1
+
 
 class TestScan:
     def test_header_and_ordering(self):
@@ -261,6 +285,11 @@ class TestScan:
     def test_bad_pressure_list_is_domain_error(self):
         code, out, err = invoke("scan", "--pressures", "0.8,oops")
         assert code == 2
+        assert err.startswith("error: domain:")
+
+    def test_failing_ratio_prints_no_rows(self):
+        code, out, err = invoke("scan", "--pressures", "0.8,1.2", "--points", "3")
+        assert (code, out) == (2, "")
         assert err.startswith("error: domain:")
 
 
@@ -308,8 +337,29 @@ class TestUsageErrors:
         assert code == 1
         assert err.startswith("error: usage:")
 
+    def test_zero_denominator_is_usage_error(self):
+        code, out, err = invoke("susy", "--a=1/0")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: usage:")
+        assert err.count("\n") == 1
+
     def test_error_line_is_single_line(self):
         for argv in (("frobnicate",), ("susy", "--a=0", "--source", "weyl")):
             _, _, err = invoke(*argv)
             assert err.endswith("\n")
             assert err.count("\n") == 1
+
+
+class TestEntryPoint:
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(pdmbubble.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "pdmbubble.cli", "susy", "--a=-1/3"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == invoke("susy", "--a=-1/3")[1]

@@ -11,14 +11,19 @@ from pdmbubble.helium import (
     K_B,
     PLANCK_H,
     DerivedParams,
+    EffectiveHamiltonianZ,
     PhysicalParams,
     PhysicsError,
     barrier_info,
     derived_params,
     potential_profile,
-    v_inverse_square,
-    v_sys,
 )
+
+
+def hamiltonian(U0=1.0, c0=0.0, k=1.0, c_a=F(-9, 100)) -> EffectiveHamiltonianZ:
+    return EffectiveHamiltonianZ(
+        kinetic_prefactor=k, c_a=c_a, U0=U0, c0=c0, a=F(-1, 6), source="paper"
+    )
 
 
 class TestPhysicalParams:
@@ -40,6 +45,10 @@ class TestPhysicalParams:
             {"rho_v": -1.0},
             {"rho_v": 140.0},
             {"rho_v": 200.0},
+            {"sigma": math.nan},
+            {"P_v": math.inf},
+            {"T": math.inf},
+            {"P": math.nan},
         ],
     )
     def test_invalid_inputs_rejected(self, kwargs):
@@ -145,21 +154,21 @@ class TestDerivedParams:
 
 class TestPotentials:
     def test_v_sys_vanishes_at_unit_radius(self):
-        assert v_sys(1.0, 3.7) == 0.0
-        assert v_sys(1.0, 3.7, c0=2.0) == 2.0
+        assert hamiltonian(U0=3.7).v_sys(1.0) == 0.0
+        assert hamiltonian(U0=3.7, c0=2.0).v_sys(1.0) == 2.0
 
     def test_v_sys_positive_inside_negative_outside(self):
-        assert v_sys(0.5, 1.0) > 0
-        assert v_sys(2.0, 1.0) < 0
+        assert hamiltonian(U0=1.0).v_sys(0.5) > 0
+        assert hamiltonian(U0=1.0).v_sys(2.0) < 0
 
     def test_v_sys_requires_positive_z(self):
         with pytest.raises(PhysicsError):
-            v_sys(0.0, 1.0)
+            hamiltonian(U0=1.0).v_sys(0.0)
         with pytest.raises(PhysicsError):
-            v_inverse_square(-1.0, 1.0, F(-9, 100))
+            hamiltonian(k=1.0, c_a=F(-9, 100)).v_a(-1.0)
 
     def test_inverse_square_negative_divergence(self):
-        values = [v_inverse_square(z, 1.0, F(-9, 100)) for z in (0.1, 0.01)]
+        values = [hamiltonian(k=1.0, c_a=F(-9, 100)).v_a(z) for z in (0.1, 0.01)]
         assert values[1] < values[0] < 0
         assert values[1] == pytest.approx(100.0 * values[0])
 
@@ -219,10 +228,11 @@ class TestBarrier:
     def test_stationary_point_is_maximum_of_v_sys(self):
         d = derived_params(DEFAULT_HE4)
         z_star, v_star = barrier_info(d)
-        assert v_sys(z_star, d.U0) == pytest.approx(v_star, rel=1e-12)
+        eff = hamiltonian(U0=d.U0)
+        assert eff.v_sys(z_star) == pytest.approx(v_star, rel=1e-12)
         eps = 1e-6
-        assert v_sys(z_star - eps, d.U0) < v_star
-        assert v_sys(z_star + eps, d.U0) < v_star
+        assert eff.v_sys(z_star - eps) < v_star
+        assert eff.v_sys(z_star + eps) < v_star
 
     def test_reference_level_offset(self):
         d = derived_params(DEFAULT_HE4)

@@ -40,8 +40,11 @@ class TestFamilyCoefficient:
             assert kinetic_family_coefficient(0, a) == 0
 
     def test_matches_quadratic_form(self):
-        for a in (F(-1), F(-1, 6), F(1, 2), F(3, 4)):
-            assert kinetic_family_coefficient(3, a) == -3 * a * (3 * a + 4)
+        # the closed form that match_orderings' expanded branch solves
+        for n in (F(1), F(2), F(5, 2), F(7, 3), F(3)):
+            for a in (F(-1), F(-1, 6), F(1, 2), F(3, 4)):
+                expected = -(n * n * a * a + n * (n + 1) * a)
+                assert kinetic_family_coefficient(n, a) == expected
 
 
 class TestMatchOrderings:

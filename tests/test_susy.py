@@ -10,12 +10,10 @@ from pdmbubble.algebra import (
     PolyX,
     PowerLawMass,
     expand_sandwich,
-    kinetic_sandwich,
 )
-from pdmbubble.helium import DEFAULT_HE4, derived_params
+from pdmbubble.helium import DEFAULT_HE4, derived_params, effective_hamiltonian_z
 from pdmbubble.susy import (
     commutator_check,
-    effective_hamiltonian_z,
     inverse_square_coefficient,
     ladder_operator,
     ladder_product,
@@ -191,7 +189,7 @@ class TestPartnerPotentials:
         ordp = OrderingParam(a)
         v_minus = partner_potential(N3, ordp, "-", "expanded").V
         lhs = ladder_product(N3, ordp, "-") - DiffOp.multiplication(v_minus)
-        assert lhs == kinetic_sandwich(N3, ordp.b, 2 * ordp.a)
+        assert lhs == expand_sandwich(N3, OrderingParam(ordp.b))
 
     def test_paper_source_restricted_to_n3(self):
         with pytest.raises(ValueError):
