@@ -48,7 +48,6 @@ from .pointmass import (
 )
 from .spectral import Grid, SymTriMatrix, assemble, compare_spectra, eigenvalues
 from .susy import (
-    LadderOp,
     PartnerPotential,
     Superpotential,
     commutator_check,

@@ -195,7 +195,6 @@ def _q2_inv(a, b):
 
 ZERO = Coeff(0)
 ONE = Coeff(1)
-I_UNIT = Coeff.imag_unit()
 
 
 class PolyX:
@@ -250,9 +249,6 @@ class PolyX:
 
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and self.terms[0][1] == 0)
-
-    def is_real(self) -> bool:
-        return all(c.is_real() for c, _ in self.terms)
 
     def coefficient(self, exponent: RationalLike) -> Coeff:
         e = _frac(exponent)
@@ -317,10 +313,6 @@ class PolyX:
                 raise DomainError(f"fractional power x**{e} at negative x")
             total += complex(c) * float(x) ** float(e)
         return total
-
-    def eval_real(self, x: float) -> float:
-        v = self.eval(x)
-        return v.real
 
     def __str__(self):
         if not self.terms:

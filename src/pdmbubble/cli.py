@@ -10,12 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 from .algebra import (
     AlgebraError,
     Coeff,
-    DiffOp,
     OrderingParam,
     PowerLawMass,
     expand_sandwich,
@@ -63,6 +63,11 @@ DOMAIN_ERRORS = (
 )
 
 
+#: Upper bound on --points for spectrum and scan: the grid, the matrix and
+#: the table rows are all held in memory.
+MAX_POINTS = 10**6
+
+
 class UsageError(Exception):
     pass
 
@@ -81,6 +86,16 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
+
+
+def _field_strings(obj, fmt) -> dict:
+    """Every dataclass field of obj, formatted by fmt, keyed by field name."""
+    return {f.name: fmt(getattr(obj, f.name)) for f in fields(obj)}
+
+
+def _check_points(points: int) -> None:
+    if points > MAX_POINTS:
+        raise ValueError(f"--points must be at most {MAX_POINTS}")
 
 
 def _emit_json(data, out) -> None:
@@ -104,9 +119,13 @@ def _bindings(args) -> dict:
     bindings = {"M0": Coeff.of(1), "U0": Coeff.of(1)}
     for item in getattr(args, "bind", None) or []:
         name, _, value = item.partition("=")
-        if not name or not value:
+        try:
+            rational = _fraction(value)
+        except argparse.ArgumentTypeError:
+            rational = None
+        if not name or rational is None:
             raise UsageError(f"bad binding {item!r}; expected NAME=RATIONAL")
-        bindings[name] = Coeff.of(Fraction(value))
+        bindings[name] = Coeff.of(rational)
     return bindings
 
 
@@ -118,21 +137,8 @@ def _cmd_params(args, out) -> int:
     d = derived_params(p)
     z_star, v_star = barrier_info(d)
     data = {
-        "inputs": {
-            "sigma": _fmt(p.sigma),
-            "P_v": _fmt(p.P_v),
-            "rho_L": _fmt(p.rho_L),
-            "rho_v": _fmt(p.rho_v),
-            "P": _fmt(p.P),
-            "T": _fmt(p.T),
-        },
-        "R_c": _fmt(d.R_c),
-        "U0": _fmt(d.U0),
-        "M0": _fmt(d.M0),
-        "k": _fmt(d.k),
-        "Lambda": _fmt(d.Lambda),
-        "p_Th": _fmt(d.p_Th),
-        "P_i_at_Rc": _fmt(d.P_i_at_Rc),
+        "inputs": _field_strings(p, _fmt),
+        **_field_strings(d, _fmt),
         "sqrt_U0_M0": _fmt((d.U0 * d.M0) ** 0.5),
         "barrier": {"z_star": _fmt(z_star), "V_star": _fmt(v_star)},
     }
@@ -158,7 +164,6 @@ def _cmd_susy(args, out) -> int:
     w = superpotential(mass, ordp)
     v_plus = partner_potential(mass, ordp, "+", source)
     v_minus = partner_potential(mass, ordp, "-", source)
-    a_plus = ladder_operator(mass, ordp, "+")
     a_minus = ladder_operator(mass, ordp, "-")
     data = {
         "a": str(ordp.a),
@@ -171,7 +176,7 @@ def _cmd_susy(args, out) -> int:
         "c_a": str(inverse_square_coefficient(ordp.a, source)),
         "checks": {
             "commutator_zero": commutator_check(mass, ordp).is_zero(),
-            "sum_is_multiplication": (a_plus.op + a_minus.op).order == 0,
+            "sum_is_multiplication": (a_minus.adjoint() + a_minus).order == 0,
         },
     }
     _emit_json(data, out)
@@ -193,16 +198,8 @@ def _cmd_transform(args, out) -> int:
     restored = unit_measure_restore(op_z, mu)
     data = {
         "a": str(ordp.a),
-        "map": {
-            "alpha": str(cmap.alpha),
-            "c_base": str(cmap.c_base),
-            "c_exp": str(cmap.c_exp),
-        },
-        "measure": {
-            "coeff_base": str(mu.coeff_base),
-            "coeff_exp": str(mu.coeff_exp),
-            "z_exp": str(mu.z_exp),
-        },
+        "map": _field_strings(cmap, str),
+        "measure": _field_strings(mu, str),
         "operator_x": op_x.to_jsonable(),
         "operator_z": op_z.to_jsonable(),
         "operator_z_unit_measure": restored.to_jsonable(),
@@ -232,6 +229,7 @@ def _physical_matrix(args, eff, grid):
 
 
 def _cmd_spectrum(args, out) -> int:
+    _check_points(args.points)
     params = _load_params(args)
     d = derived_params(params)
     eff = effective_hamiltonian_z(OrderingParam(args.a), d, args.source)
@@ -245,6 +243,9 @@ def _cmd_spectrum(args, out) -> int:
 
 
 def _cmd_scan(args, out) -> int:
+    _check_points(args.points)
+    if args.points < 2:
+        raise ValueError("--points must be at least 2")
     base = _load_params(args)
     ratios = sorted(float(r) for r in args.pressures.split(","))
     zs = [
@@ -256,13 +257,17 @@ def _cmd_scan(args, out) -> int:
         (ratio, derived_params(base.with_pressure(ratio * base.P_v)))
         for ratio in ratios
     ]
-    out.write("pressure_ratio,z,V_a_eV,V_sys_eV,V_total_eV\n")
-    for ratio, d in states:
-        for row in potential_profile(args.a, d, zs, args.source):
+    for i, (ratio, d) in enumerate(states):
+        rows = potential_profile(args.a, d, zs, args.source)
+        if i == 0:
+            # the z grid is shared, so the first table has validated every z
+            out.write("pressure_ratio,z,V_a_eV,V_sys_eV,V_total_eV\n")
+        for row in rows:
             out.write(
                 f"{_fmt(ratio)},{_fmt(row.z)},{_fmt(row.V_a_eV)},"
                 f"{_fmt(row.V_sys_eV)},{_fmt(row.V_total_eV)}\n"
             )
+        del rows  # one table in memory at a time
     return 0
 
 

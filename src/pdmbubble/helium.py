@@ -106,6 +106,10 @@ def derived_params(p: PhysicalParams) -> DerivedParams:
     )
 
 
+def _bad_z(name: str, z: float) -> str:
+    return f"{name} requires z > 0" if z <= 0 else f"{name} requires finite z"
+
+
 @dataclass(frozen=True)
 class EffectiveHamiltonianZ:
     """Constant-mass Hamiltonian in z: -k d^2/dz^2 + k c_a / z^2 + V_sys(z),
@@ -120,14 +124,14 @@ class EffectiveHamiltonianZ:
 
     def v_a(self, z: float) -> float:
         """Ordering-dependent inverse-square potential k c_a / z^2 (J)."""
-        if z <= 0:
-            raise PhysicsError("inverse-square potential requires z > 0")
+        if not 0 < z < math.inf:
+            raise PhysicsError(_bad_z("inverse-square potential", z))
         return self.kinetic_prefactor * float(self.c_a) / z**2
 
     def v_sys(self, z: float) -> float:
         """System potential U0 z^{4/5} (1 - z^{2/5}) + c0 (J)."""
-        if z <= 0:
-            raise PhysicsError("v_sys requires z > 0")
+        if not 0 < z < math.inf:
+            raise PhysicsError(_bad_z("v_sys", z))
         return self.U0 * z**0.8 * (1.0 - z**0.4) + self.c0
 
 

@@ -38,8 +38,7 @@ def kinetic_family_coefficient(n, a) -> Fraction:
     """
     n = _frac(n)
     op = expand_sandwich(PowerLawMass(n), OrderingParam(_frac(a)))
-    coeff = op.coefficient(0).coefficient(-n - 2)
-    return (coeff * Coeff.of(-2)).rational
+    return _family_scale_and_gamma(n, op)[1]
 
 
 def _family_scale_and_gamma(n: Fraction, target: DiffOp) -> tuple[Coeff, Fraction]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Coeff, DiffOp, ExactnessError, PolyX, _frac
+from .algebra import DiffOp, ExactnessError, PolyX, _frac
 
 
 class TransformError(Exception):
@@ -59,9 +59,6 @@ class Measure:
 
     def eval(self, z: float) -> float:
         return float(self.coeff_base) ** float(self.coeff_exp) * z ** float(self.z_exp)
-
-    def is_unit(self) -> bool:
-        return self.z_exp == 0 and (self.coeff_base == 1 or self.coeff_exp == 0)
 
 
 def pm_map(n) -> CoordinateMap:
@@ -126,8 +123,6 @@ def unit_measure_restore(op: DiffOp, mu: Measure) -> DiffOp:
     """
     if op.order > 2:
         raise TransformError("restoration implemented for order <= 2 only")
-    if mu.is_unit():
-        return op
     e = mu.z_exp
     log_d = PolyX.mono(e, -1)                     # mu'/mu
     second = PolyX.mono(e * (e - 1), -2)          # mu''/mu

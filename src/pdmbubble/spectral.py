@@ -93,12 +93,12 @@ def assemble(
     a_poly = op.coefficient(2)
     if not a_poly.is_constant():
         raise AssembleError("second-derivative coefficient must be constant")
-    a_val = a_poly.eval_real(1.0) * scale
+    a_val = a_poly.eval(1.0).real * scale
     c_poly = op.coefficient(0)
     zs = grid.interior
     h2 = grid.h**2
     try:
-        c_vals = np.array([c_poly.eval_real(z) * scale for z in zs])
+        c_vals = np.array([c_poly.eval(z).real * scale for z in zs])
     except DomainError as exc:
         raise AssembleError(f"coefficient singular on grid: {exc}") from None
     diag = -2.0 * a_val / h2 + c_vals
@@ -127,16 +127,11 @@ def eigenvalues(matrix: SymTriMatrix, count: int,
 
 
 def compare_spectra(
-    op1: DiffOp,
-    op2: DiffOp,
-    grid: Grid,
-    count: int,
-    potential: Optional[Callable[[float], float]] = None,
-    scale: float = 1.0,
+    op1: DiffOp, op2: DiffOp, grid: Grid, count: int
 ) -> tuple[float, float]:
     """(matrix max-difference, eigenvalue max-difference over lowest count)."""
-    m1 = assemble(op1, grid, potential=potential, scale=scale)
-    m2 = assemble(op2, grid, potential=potential, scale=scale)
+    m1 = assemble(op1, grid)
+    m2 = assemble(op2, grid)
     dist = m1.max_difference(m2)
     e1 = eigenvalues(m1, count, grid).eigenvalues
     e2 = eigenvalues(m2, count, grid).eigenvalues

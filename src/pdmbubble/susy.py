@@ -52,8 +52,6 @@ class Superpotential:
     """W(x) for a power-law mass; two monomial terms in general."""
 
     W: PolyX
-    mass: PowerLawMass
-    ord: OrderingParam
 
 
 def superpotential(mass: PowerLawMass, ord: OrderingParam) -> Superpotential:
@@ -69,47 +67,28 @@ def superpotential(mass: PowerLawMass, ord: OrderingParam) -> Superpotential:
     terms = [(grow, half)]
     if not sing.is_zero():
         terms.append((sing, -half))
-    return Superpotential(W=PolyX(terms), mass=mass, ord=ord)
+    return Superpotential(W=PolyX(terms))
 
 
-@dataclass(frozen=True)
-class LadderOp:
-    """Ladder operator A(sign): first-order part plus the superpotential."""
-
-    sign: str  # '+' or '-'
-    op: DiffOp
-    W: Superpotential
-    ord: OrderingParam
-
-
-def ladder_operator(mass: PowerLawMass, ord: OrderingParam, sign: str) -> LadderOp:
-    """A- = (1/sqrt2) m^b D m^a + W;  A+ = -(1/sqrt2) m^a D m^b + W."""
+def ladder_operator(mass: PowerLawMass, ord: OrderingParam, sign: str) -> DiffOp:
+    """A- = (1/sqrt2) m^b D m^a + W, and A+ as its formal adjoint,
+    -(1/sqrt2) m^a D m^b + W (W is real)."""
     if sign not in "+-":
         raise ValueError("sign must be '+' or '-'")
-    w = superpotential(mass, ord)
-    d = DiffOp.derivative()
-    inv_sqrt2 = Coeff.sqrt2(Fraction(1, 2))  # 1/sqrt2 = sqrt2/2
-    if sign == "-":
-        kin = (
-            DiffOp.multiplication(mass.power(ord.b))
-            .compose(d)
-            .compose(DiffOp.multiplication(mass.power(ord.a)))
-            .scale(inv_sqrt2)
-        )
-    else:
-        kin = (
-            DiffOp.multiplication(mass.power(ord.a))
-            .compose(d)
-            .compose(DiffOp.multiplication(mass.power(ord.b)))
-            .scale(-inv_sqrt2)
-        )
-    return LadderOp(sign=sign, op=kin + DiffOp.multiplication(w.W), W=w, ord=ord)
+    minus = (
+        DiffOp.multiplication(mass.power(ord.b))
+        .compose(DiffOp.derivative())
+        .compose(DiffOp.multiplication(mass.power(ord.a)))
+        .scale(Coeff.sqrt2(Fraction(1, 2)))  # 1/sqrt2 = sqrt2/2
+        + DiffOp.multiplication(superpotential(mass, ord).W)
+    )
+    return minus if sign == "-" else minus.adjoint()
 
 
 def ladder_product(mass: PowerLawMass, ord: OrderingParam, sign: str) -> DiffOp:
     """H(sign) = A(sign) A(-sign), expanded to normal order."""
-    plus = ladder_operator(mass, ord, "+").op
-    minus = ladder_operator(mass, ord, "-").op
+    minus = ladder_operator(mass, ord, "-")
+    plus = minus.adjoint()
     if sign == "+":
         return plus.compose(minus)
     if sign == "-":
@@ -119,9 +98,8 @@ def ladder_product(mass: PowerLawMass, ord: OrderingParam, sign: str) -> DiffOp:
 
 def commutator_check(mass: PowerLawMass, ord: OrderingParam) -> DiffOp:
     """[A-, A+] - 1; the zero operator iff the Heisenberg algebra holds."""
-    plus = ladder_operator(mass, ord, "+").op
-    minus = ladder_operator(mass, ord, "-").op
-    return minus.commutator(plus) - DiffOp.identity()
+    minus = ladder_operator(mass, ord, "-")
+    return minus.commutator(minus.adjoint()) - DiffOp.identity()
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Coeff, DiffOp, ExactnessError, PolyX
+from .algebra import Coeff, DiffOp, PolyX
 
 _I = Coeff.imag_unit()
 
@@ -96,22 +96,12 @@ class HermiticityReport:
         }
 
 
-def _measure_exponent(measure) -> Fraction:
-    """Logarithmic-derivative exponent of a power-form measure: mu'/mu = e/z."""
-    if hasattr(measure, "z_exp"):
-        return measure.z_exp
-    if isinstance(measure, PolyX):
-        _, e = measure.monomial_parts()
-        return e
-    raise ExactnessError(f"unsupported measure: {measure!r}")
-
-
 def hermiticity_check(op: DiffOp, measure=None) -> HermiticityReport:
     """Check the Hermiticity conditions of a second-order operator.
 
-    measure=None tests the unit-measure conditions; otherwise measure must be
-    a power-form object (Measure or monomial PolyX) and the corrected
-    condition B = A' + (mu'/mu) A is tested.
+    measure=None tests the unit-measure conditions; otherwise measure is a
+    power-form ``pointmass.Measure`` and the corrected condition
+    B = A' + (mu'/mu) A is tested.
     """
     if op.order > 2:
         raise UnsupportedDegreeError("operator order above 2")
@@ -123,8 +113,7 @@ def hermiticity_check(op: DiffOp, measure=None) -> HermiticityReport:
         res_ii = a.derivative() - b.real_part()
         res_iii = c.imag_part() - b.derivative().imag_part().scale(Fraction(1, 2))
         return HermiticityReport(res_i, res_ii, res_iii, measure_corrected=False)
-    e = _measure_exponent(measure)
-    log_deriv = PolyX.mono(e, -1)
+    log_deriv = PolyX.mono(measure.z_exp, -1)
     res = b - a.derivative() - a * log_deriv
     return HermiticityReport(
         a.imag_part(), res, PolyX.zero(), measure_corrected=True

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import pdmbubble
-from pdmbubble.cli import run
+from pdmbubble.cli import MAX_POINTS, run
 
 
 def invoke(*argv):
@@ -123,6 +123,15 @@ class TestWeyl:
         )
         assert code == 1
         assert err.startswith("error: usage:")
+
+    @pytest.mark.parametrize("binding", ["M=abc", "M=1/0"])
+    def test_non_rational_binding_is_usage_error(self, binding):
+        code, out, err = invoke(
+            "weyl", "--hamiltonian", "p^2/(2*M*x^3)", "--bind", binding
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: usage: bad binding")
+        assert err.count("\n") == 1
 
 
 class TestSusy:
@@ -239,16 +248,28 @@ class TestSpectrum:
         assert err.startswith("error: domain:")
 
     @pytest.mark.parametrize(
-        "argv", [("spectrum", "--a=-1/3", "--zmin", "-1"), ("scan", "--zmin", "0")]
+        "argv",
+        [
+            ("spectrum", "--a=-1/3", "--zmin", "-1"),
+            ("scan", "--zmin", "0"),
+            ("spectrum", "--a=-1/3", "--zmax", "inf", "--points", "10"),
+            ("scan", "--zmin", "inf"),
+        ],
     )
     def test_nonpositive_z_is_one_domain_error(self, argv):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = invoke(*argv)
-        assert code == 2
+        assert (code, out) == (2, "")
         assert err.startswith("error: domain:")
-        assert "requires z > 0" in err
+        assert ("requires finite z" if "inf" in argv else "requires z > 0") in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [("spectrum", "--a=-1/3"), ("scan",)])
+    def test_points_above_cap_is_domain_error(self, command):
+        code, out, err = invoke(*command, "--points", str(MAX_POINTS + 1))
+        assert (code, out) == (2, "")
+        assert err == f"error: domain: --points must be at most {MAX_POINTS}\n"
 
 
 class TestScan:
@@ -286,6 +307,12 @@ class TestScan:
         code, out, err = invoke("scan", "--pressures", "0.8,oops")
         assert code == 2
         assert err.startswith("error: domain:")
+
+    @pytest.mark.parametrize("points", ["1", "0", "-5"])
+    def test_too_few_points_is_one_domain_error(self, points):
+        code, out, err = invoke("scan", "--points", points)
+        assert (code, out) == (2, "")
+        assert err == "error: domain: --points must be at least 2\n"
 
     def test_failing_ratio_prints_no_rows(self):
         code, out, err = invoke("scan", "--pressures", "0.8,1.2", "--points", "3")

@@ -109,7 +109,7 @@ class TestMeasure:
         assert mu.eval(1.0) == pytest.approx(0.4 ** 0.6)
 
     def test_identity_measure(self):
-        assert measure_of_map(pm_map(0)).is_unit()
+        assert measure_of_map(pm_map(0)) == Measure(F(1), F(0), F(0))
 
     def test_n_two_measure(self):
         mu = measure_of_map(pm_map(2))

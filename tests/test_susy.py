@@ -50,32 +50,41 @@ class TestSuperpotential:
 
 class TestLadderOperators:
     def test_lowering_operator_a_zero(self):
-        op = ladder_operator(N3, OrderingParam(F(0)), "-").op
+        op = ladder_operator(N3, OrderingParam(F(0)), "-")
         assert op.coefficient(1) == PolyX.mono(sqrt2(F(1, 2)), F(-3, 2))
         w = superpotential(N3, OrderingParam(F(0))).W
         assert op.coefficient(0) == w  # m^a = 1 adds nothing at a = 0
 
     def test_constant_mass_oscillator_shape(self):
         mass = PowerLawMass(F(0))
-        minus = ladder_operator(mass, OrderingParam(F(0)), "-").op
-        plus = ladder_operator(mass, OrderingParam(F(0)), "+").op
+        minus = ladder_operator(mass, OrderingParam(F(0)), "-")
+        plus = ladder_operator(mass, OrderingParam(F(0)), "+")
         assert minus.coefficient(1) == PolyX.const(sqrt2(F(1, 2)))
         assert plus.coefficient(1) == PolyX.const(sqrt2(F(-1, 2)))
         assert minus.coefficient(0) == plus.coefficient(0)
 
     @pytest.mark.parametrize("a", TEST_A_VALUES)
     def test_sum_is_growing_monomial(self, a):
-        plus = ladder_operator(N3, OrderingParam(a), "+").op
-        minus = ladder_operator(N3, OrderingParam(a), "-").op
+        plus = ladder_operator(N3, OrderingParam(a), "+")
+        minus = ladder_operator(N3, OrderingParam(a), "-")
         total = plus + minus
         assert total.order == 0
         assert total.coefficient(0) == PolyX.mono(sqrt2(F(2, 5)), F(5, 2))
 
     @pytest.mark.parametrize("a", TEST_A_VALUES)
     def test_raising_is_adjoint_of_lowering(self, a):
-        plus = ladder_operator(N3, OrderingParam(a), "+").op
-        minus = ladder_operator(N3, OrderingParam(a), "-").op
-        assert minus.adjoint() == plus
+        # ladder_operator takes A+ as the adjoint of A-; compose the adjoint's
+        # closed form -(1/sqrt2) m^a D m^b + W here instead
+        ordp = OrderingParam(a)
+        for n in (F(3), F(5, 2), F(7, 3), F(2), F(0)):
+            mass = PowerLawMass(n)
+            expected = (
+                DiffOp.multiplication(mass.power(ordp.a))
+                .compose(DiffOp.derivative())
+                .compose(DiffOp.multiplication(mass.power(ordp.b)))
+                .scale(sqrt2(F(-1, 2)))
+            ) + DiffOp.multiplication(superpotential(mass, ordp).W)
+            assert ladder_operator(mass, ordp, "+") == expected
 
 
 class TestHeisenbergAlgebra:
