@@ -8,7 +8,6 @@ M0 = hbar = 1; physical scales are reattached numerically elsewhere.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt, sqrt
@@ -456,9 +455,6 @@ class DiffOp:
             for poly, order in sorted(self.terms, key=lambda t: -t[1])
         ]
         return {"prefactor": {"p": "1", "q": "0"}, "terms": terms}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), sort_keys=True)
 
     @staticmethod
     def from_jsonable(data: dict) -> "DiffOp":

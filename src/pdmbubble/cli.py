@@ -38,7 +38,7 @@ from .pointmass import (
     transform_diffop,
     unit_measure_restore,
 )
-from .spectral import AssembleError, Grid, assemble, eigenvalues
+from .spectral import Grid, check_range, eigenvalues, stencil
 from .susy import (
     commutator_check,
     inverse_square_coefficient,
@@ -46,13 +46,11 @@ from .susy import (
     normalize_source,
     partner_potential,
     superpotential,
-    z_space_operator,
 )
 from .weyl import UnsupportedDegreeError, hermiticity_check, weyl_order
 
 DOMAIN_ERRORS = (
     AlgebraError,
-    AssembleError,
     MatchError,
     ParseError,
     PhysicsError,
@@ -222,19 +220,18 @@ def _cmd_match(args, out) -> int:
     return 0
 
 
-def _physical_matrix(args, eff, grid):
-    # symbolic z-operator carries k = 1/2; rescale to the physical k
-    op = z_space_operator(OrderingParam(args.a), args.source)
-    return assemble(op, grid, potential=eff.v_sys, scale=2.0 * eff.kinetic_prefactor)
-
-
 def _cmd_spectrum(args, out) -> int:
     _check_points(args.points)
     params = _load_params(args)
     d = derived_params(params)
     eff = effective_hamiltonian_z(OrderingParam(args.a), d, args.source)
     grid = Grid(args.zmin, args.zmax, args.points)
-    matrix = _physical_matrix(args, eff, grid)
+    zs = grid.interior.tolist()
+    # Both columns come before the stencil, so v_a's z**2 check fires before
+    # h**2 (h < the largest z) can overflow; the diagonal is (2k/h^2 + V_a) + V_sys.
+    v_sys = [eff.v_sys(z) for z in zs]
+    v_a = [eff.v_a(z) for z in zs]
+    matrix = stencil(-eff.kinetic_prefactor, grid, v_a, v_sys)
     result = eigenvalues(matrix, args.count, grid)
     out.write("index,eigenvalue_J,eigenvalue_eV\n")
     for i, ev in enumerate(result.eigenvalues):
@@ -246,6 +243,7 @@ def _cmd_scan(args, out) -> int:
     _check_points(args.points)
     if args.points < 2:
         raise ValueError("--points must be at least 2")
+    check_range(args.zmin, args.zmax)
     base = _load_params(args)
     ratios = sorted(float(r) for r in args.pressures.split(","))
     zs = [

@@ -9,7 +9,7 @@ its potentials V_a and V_sys, is defined here as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 from .algebra import OrderingParam
@@ -53,14 +53,7 @@ class PhysicalParams:
             raise PhysicsError("rho_v must satisfy 0 <= rho_v < rho_L")
 
     def with_pressure(self, P: float) -> "PhysicalParams":
-        return PhysicalParams(
-            sigma=self.sigma,
-            P_v=self.P_v,
-            rho_L=self.rho_L,
-            T=self.T,
-            P=P,
-            rho_v=self.rho_v,
-        )
+        return replace(self, P=P)
 
 
 #: Typical superfluid helium values at T = 4 K.
@@ -79,9 +72,6 @@ class DerivedParams:
     Lambda: float    # m
     p_Th: float      # kg m / s
     P_i_at_Rc: float  # Pa
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def derived_params(p: PhysicalParams) -> DerivedParams:
@@ -126,7 +116,15 @@ class EffectiveHamiltonianZ:
         """Ordering-dependent inverse-square potential k c_a / z^2 (J)."""
         if not 0 < z < math.inf:
             raise PhysicsError(_bad_z("inverse-square potential", z))
-        return self.kinetic_prefactor * float(self.c_a) / z**2
+        try:
+            z2 = z**2
+        except OverflowError:
+            z2 = math.inf
+        if not 0 < z2 < math.inf:
+            raise PhysicsError(
+                f"inverse-square potential: z**2 out of float range at z = {z:g}"
+            )
+        return self.kinetic_prefactor * float(self.c_a) / z2
 
     def v_sys(self, z: float) -> float:
         """System potential U0 z^{4/5} (1 - z^{2/5}) + c0 (J)."""

@@ -8,8 +8,8 @@ Sturm-sequence bisection driver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
@@ -19,6 +19,14 @@ from .algebra import DiffOp, DomainError
 
 class AssembleError(Exception):
     """Operator cannot be discretized as stated."""
+
+
+def check_range(z_min: float, z_max: float) -> None:
+    """Refuse a non-finite, empty or reversed interval."""
+    if not (math.isfinite(z_min) and math.isfinite(z_max)):
+        raise ValueError("z range requires finite z_min and z_max")
+    if not z_max > z_min:
+        raise ValueError("z_max must exceed z_min")
 
 
 @dataclass(frozen=True)
@@ -32,8 +40,7 @@ class Grid:
     def __post_init__(self):
         if self.points < 3:
             raise ValueError("grid needs at least 3 points")
-        if not self.z_max > self.z_min:
-            raise ValueError("z_max must exceed z_min")
+        check_range(self.z_min, self.z_max)
 
     @property
     def h(self) -> float:
@@ -73,15 +80,18 @@ class SpectralResult:
     grid: Grid
 
 
-def assemble(
-    op: DiffOp,
-    grid: Grid,
-    potential: Optional[Callable[[float], float]] = None,
-    scale: float = 1.0,
-) -> SymTriMatrix:
-    """3-point stencil for A D^2 + C with constant A (unit-measure form).
+def stencil(a_val: float, grid: Grid, *columns) -> SymTriMatrix:
+    """3-point stencil for A D^2 + C with constant A: diag_i = -2A/h^2 + C(z_i),
+    off_i = A/h^2; C is one or more columns on grid.interior, summed in order."""
+    h2 = grid.h**2
+    diag = sum(columns, np.full(grid.points, -2.0 * a_val / h2))
+    off = np.full(grid.points - 1, a_val / h2)
+    return SymTriMatrix(diagonal=diag, off_diagonal=off)
 
-    diag_i = -2 A / h^2 + C(z_i) (+ potential(z_i)); off_i = A / h^2.
+
+def assemble(op: DiffOp, grid: Grid) -> SymTriMatrix:
+    """The stencil of a unit-measure operator A D^2 + C with constant A.
+
     A nonzero first-derivative term is refused: restore unit measure first.
     """
     if op.order > 2:
@@ -93,19 +103,12 @@ def assemble(
     a_poly = op.coefficient(2)
     if not a_poly.is_constant():
         raise AssembleError("second-derivative coefficient must be constant")
-    a_val = a_poly.eval(1.0).real * scale
     c_poly = op.coefficient(0)
-    zs = grid.interior
-    h2 = grid.h**2
     try:
-        c_vals = np.array([c_poly.eval(z).real * scale for z in zs])
+        c_vals = [c_poly.eval(z).real for z in grid.interior]
     except DomainError as exc:
         raise AssembleError(f"coefficient singular on grid: {exc}") from None
-    diag = -2.0 * a_val / h2 + c_vals
-    if potential is not None:
-        diag = diag + np.array([potential(z) for z in zs])
-    off = np.full(grid.points - 1, a_val / h2)
-    return SymTriMatrix(diagonal=diag, off_diagonal=off)
+    return stencil(a_poly.eval(1.0).real, grid, c_vals)
 
 
 def eigenvalues(matrix: SymTriMatrix, count: int,

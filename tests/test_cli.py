@@ -4,12 +4,17 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 import pdmbubble
+from pdmbubble.algebra import OrderingParam
 from pdmbubble.cli import MAX_POINTS, run
+from pdmbubble.helium import DEFAULT_HE4, derived_params
+from pdmbubble.spectral import Grid, SymTriMatrix, assemble, eigenvalues
+from pdmbubble.susy import z_space_operator
 
 
 def invoke(*argv):
@@ -265,6 +270,44 @@ class TestSpectrum:
         assert ("requires finite z" if "inf" in argv else "requires z > 0") in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("scan", "--zmax", "1e200", "--points", "3"),
+            ("spectrum", "--a=-1/3", "--zmax", "1e200", "--points", "10"),
+            ("scan", "--zmin", "1e-200", "--points", "3"),
+        ],
+    )
+    def test_z_squared_out_of_range_is_one_domain_error(self, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(*argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            "error: domain: inverse-square potential: z**2 out of float range at z = "
+        )
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("a", [F(-1, 3), F(0), F(1, 2)])
+    @pytest.mark.parametrize("source", ["expanded", "paper"])
+    def test_levels_match_the_exact_operator(self, a, source):
+        # A box around the well, where both k and c_a move the levels; the
+        # symbolic operator carries k = 1/2, so it is rescaled by 2k here.
+        grid = Grid(1e-6, 0.01, 2000)
+        code, out, err = invoke(
+            "spectrum", f"--a={a}", "--source", source, "--zmin", "1e-6",
+            "--zmax", "0.01", "--points", "2000", "--count", "3",
+        )
+        assert code == 0, err
+        printed = [float(line.split(",")[1]) for line in out.splitlines()[1:]]
+        d = derived_params(DEFAULT_HE4)
+        m = assemble(z_space_operator(OrderingParam(a), source), grid)
+        z = grid.interior
+        v_sys = d.U0 * z**0.8 * (1.0 - z**0.4)
+        exact = SymTriMatrix(2 * d.k * m.diagonal + v_sys, 2 * d.k * m.off_diagonal)
+        expected = eigenvalues(exact, 3).eigenvalues
+        assert printed == pytest.approx(expected, rel=1e-10, abs=0)
+
     @pytest.mark.parametrize("command", [("spectrum", "--a=-1/3"), ("scan",)])
     def test_points_above_cap_is_domain_error(self, command):
         code, out, err = invoke(*command, "--points", str(MAX_POINTS + 1))
@@ -313,6 +356,14 @@ class TestScan:
         code, out, err = invoke("scan", "--points", points)
         assert (code, out) == (2, "")
         assert err == "error: domain: --points must be at least 2\n"
+
+    @pytest.mark.parametrize(
+        "box", [("--zmin", "1", "--zmax", "1"), ("--zmin", "3", "--zmax", "0.05")]
+    )
+    def test_empty_or_reversed_range_is_one_domain_error(self, box):
+        code, out, err = invoke("scan", *box, "--points", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: domain: z_max must exceed z_min\n"
 
     def test_failing_ratio_prints_no_rows(self):
         code, out, err = invoke("scan", "--pressures", "0.8,1.2", "--points", "3")

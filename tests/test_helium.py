@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 from fractions import Fraction as F
 
 import pytest
@@ -119,7 +120,7 @@ class TestDerivedParams:
 
     def test_all_positive(self):
         d = derived_params(DEFAULT_HE4.with_pressure(0.9 * DEFAULT_HE4.P_v))
-        assert all(v > 0 for v in d.as_dict().values())
+        assert all(v > 0 for v in asdict(d).values())
 
     def test_superheating_required(self):
         with pytest.raises(PhysicsError):

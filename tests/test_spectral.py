@@ -49,10 +49,10 @@ class TestAssemble:
     def test_inverse_square_entries(self):
         op = z_space_operator(OrderingParam(F(-1, 3)), "expanded")
         g = Grid(0.05, 3.0, 50)
-        m = assemble(op, g, scale=2.0)  # physical convention k = 1
+        m = assemble(op, g)  # symbolic units, k = 1/2
         h2 = g.h**2
         for i, z in enumerate(g.interior):
-            assert m.diagonal[i] == pytest.approx(2.0 / h2 - 0.09 / z**2)
+            assert m.diagonal[i] == pytest.approx(1.0 / h2 - 0.045 / z**2)
 
     def test_matrix_is_symmetric_by_construction(self):
         g = Grid(0.2, 2.0, 30)

@@ -175,6 +175,19 @@ class TestPartnerPotentials:
         w = superpotential(N3, ordp).W
         assert ve == w * w - PolyX.const(F(1, 2))
 
+    @pytest.mark.parametrize("a", TEST_A_VALUES)
+    def test_paper_at_a_is_expanded_at_b(self, a):
+        # the paper's V+ and c_a are the expanded ones at the dual ordering
+        # b = -1/2 - a; V- agrees at a itself
+        ordp = OrderingParam(a)
+        dual = OrderingParam(ordp.b)
+        assert (partner_potential(N3, ordp, "+", "paper").V
+                == partner_potential(N3, dual, "+", "expanded").V)
+        assert (inverse_square_coefficient(a, "paper")
+                == inverse_square_coefficient(dual.a, "expanded"))
+        assert (partner_potential(N3, ordp, "-", "paper").V
+                == partner_potential(N3, ordp, "-", "expanded").V)
+
     @pytest.mark.parametrize("a", [F(0), F(1, 2), F(-1, 6)])
     def test_source_divergence_is_pure_inverse_fifth(self, a):
         ordp = OrderingParam(a)
