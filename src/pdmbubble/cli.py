@@ -62,8 +62,15 @@ DOMAIN_ERRORS = (
 
 
 #: Upper bound on --points for spectrum and scan: the grid, the matrix and
-#: the table rows are all held in memory.
+#: the potential columns are all held in memory.
 MAX_POINTS = 10**6
+
+#: Rows of a scan table formatted per write: the text held in memory stays
+#: bounded whatever --points is.
+SCAN_CHUNK = 4096
+
+#: Every printed float: 12 significant digits, scientific notation.
+_NUMBER = "%.11e"
 
 
 class UsageError(Exception):
@@ -76,7 +83,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(x: float) -> str:
-    return f"{x:.11e}"
+    return _NUMBER % x
 
 
 def _fraction(text: str) -> Fraction:
@@ -226,11 +233,12 @@ def _cmd_spectrum(args, out) -> int:
     d = derived_params(params)
     eff = effective_hamiltonian_z(OrderingParam(args.a), d, args.source)
     grid = Grid(args.zmin, args.zmax, args.points)
-    zs = grid.interior.tolist()
     # Both columns come before the stencil, so v_a's z**2 check fires before
     # h**2 (h < the largest z) can overflow; the diagonal is (2k/h^2 + V_a) + V_sys.
-    v_sys = [eff.v_sys(z) for z in zs]
-    v_a = [eff.v_a(z) for z in zs]
+    # V_sys first: a z <= 0 is reported by v_sys.
+    z = grid.interior
+    v_sys = eff.v_sys(z)
+    v_a = eff.v_a(z)
     matrix = stencil(-eff.kinetic_prefactor, grid, v_a, v_sys)
     result = eigenvalues(matrix, args.count, grid)
     out.write("index,eigenvalue_J,eigenvalue_eV\n")
@@ -256,16 +264,17 @@ def _cmd_scan(args, out) -> int:
         for ratio in ratios
     ]
     for i, (ratio, d) in enumerate(states):
-        rows = potential_profile(args.a, d, zs, args.source)
+        profile = potential_profile(args.a, d, zs, args.source)
         if i == 0:
             # the z grid is shared, so the first table has validated every z
             out.write("pressure_ratio,z,V_a_eV,V_sys_eV,V_total_eV\n")
-        for row in rows:
-            out.write(
-                f"{_fmt(ratio)},{_fmt(row.z)},{_fmt(row.V_a_eV)},"
-                f"{_fmt(row.V_sys_eV)},{_fmt(row.V_total_eV)}\n"
-            )
-        del rows  # one table in memory at a time
+        row = ",".join([_fmt(ratio)] + [_NUMBER] * 4) + "\n"
+        columns = (profile.z, profile.V_a_eV, profile.V_sys_eV,
+                   profile.V_total_eV)
+        for start in range(0, len(zs), SCAN_CHUNK):
+            chunk = [c[start:start + SCAN_CHUNK].tolist() for c in columns]
+            out.write("".join([row % values for values in zip(*chunk)]))
+        del profile, columns  # one table in memory at a time
     return 0
 
 

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
+import numpy as np
+
 from .algebra import OrderingParam
 from .susy import inverse_square_coefficient, normalize_source
 
@@ -100,6 +102,29 @@ def _bad_z(name: str, z: float) -> str:
     return f"{name} requires z > 0" if z <= 0 else f"{name} requires finite z"
 
 
+def _column(zs) -> tuple[list[float], np.ndarray]:
+    """zs as Python floats and as a float64 array.  The potentials take their
+    powers of z from the floats, one point at a time: numpy's array ``**``
+    differs from Python's float ``**`` in the last bit at some points, and the
+    printed digits must not depend on which is used.  Every product, sum and
+    quotient after that is done on the array, in the same order as on one
+    point, so each entry is bit-identical to the per-point value."""
+    z = np.asarray(zs, dtype=float)
+    return z.tolist(), z
+
+
+# Column arithmetic overflows to inf and makes nan silently, as Python's float
+# arithmetic does on one point.
+_float_errors = np.errstate(over="ignore", invalid="ignore")
+
+
+def _square_or_inf(x: float) -> float:
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class EffectiveHamiltonianZ:
     """Constant-mass Hamiltonian in z: -k d^2/dz^2 + k c_a / z^2 + V_sys(z),
@@ -112,25 +137,43 @@ class EffectiveHamiltonianZ:
     a: Fraction
     source: str
 
-    def v_a(self, z: float) -> float:
-        """Ordering-dependent inverse-square potential k c_a / z^2 (J)."""
-        if not 0 < z < math.inf:
-            raise PhysicsError(_bad_z("inverse-square potential", z))
+    @_float_errors
+    def v_a(self, zs) -> np.ndarray:
+        """Ordering-dependent inverse-square potential k c_a / z^2 (J) on a
+        column of z.  The first z in order that is not in (0, inf), or whose
+        z**2 leaves the float range, raises."""
+        z_list, z = _column(zs)
         try:
-            z2 = z**2
-        except OverflowError:
-            z2 = math.inf
-        if not 0 < z2 < math.inf:
+            z2 = np.array([x**2 for x in z_list])
+        except OverflowError:  # Python's float ** raises where it overflows
+            z2 = np.array([_square_or_inf(x) for x in z_list])
+        ok = (0 < z) & (z < math.inf) & (0 < z2) & (z2 < math.inf)
+        if not ok.all():
+            x = z_list[int(np.argmin(ok))]
+            if not 0 < x < math.inf:
+                raise PhysicsError(_bad_z("inverse-square potential", x))
             raise PhysicsError(
-                f"inverse-square potential: z**2 out of float range at z = {z:g}"
+                f"inverse-square potential: z**2 out of float range at z = {x:g}"
             )
-        return self.kinetic_prefactor * float(self.c_a) / z2
+        try:
+            c_a = float(self.c_a)
+        except OverflowError:
+            raise PhysicsError(
+                "inverse-square potential: c_a out of float range"
+            ) from None
+        return (self.kinetic_prefactor * c_a) / z2
 
-    def v_sys(self, z: float) -> float:
-        """System potential U0 z^{4/5} (1 - z^{2/5}) + c0 (J)."""
-        if not 0 < z < math.inf:
-            raise PhysicsError(_bad_z("v_sys", z))
-        return self.U0 * z**0.8 * (1.0 - z**0.4) + self.c0
+    @_float_errors
+    def v_sys(self, zs) -> np.ndarray:
+        """System potential U0 z^{4/5} (1 - z^{2/5}) + c0 (J) on a column of
+        z.  The first z in order that is not in (0, inf) raises."""
+        z_list, z = _column(zs)
+        ok = (0 < z) & (z < math.inf)
+        if not ok.all():
+            raise PhysicsError(_bad_z("v_sys", z_list[int(np.argmin(ok))]))
+        p08 = np.array([x**0.8 for x in z_list])
+        p04 = np.array([x**0.4 for x in z_list])
+        return self.U0 * p08 * (1.0 - p04) + self.c0
 
 
 def effective_hamiltonian_z(
@@ -149,35 +192,40 @@ def effective_hamiltonian_z(
 
 
 @dataclass(frozen=True)
-class ProfileRow:
-    z: float
-    V_a_J: float
-    V_sys_J: float
-    V_total_J: float
+class PotentialProfile:
+    """V_a, V_sys and their sum on a z grid, as float64 columns."""
+
+    z: np.ndarray
+    V_a_J: np.ndarray
+    V_sys_J: np.ndarray
+    V_total_J: np.ndarray
 
     @property
-    def V_a_eV(self) -> float:
+    @_float_errors
+    def V_a_eV(self) -> np.ndarray:
         return self.V_a_J / EV
 
     @property
-    def V_sys_eV(self) -> float:
+    @_float_errors
+    def V_sys_eV(self) -> np.ndarray:
         return self.V_sys_J / EV
 
     @property
-    def V_total_eV(self) -> float:
+    @_float_errors
+    def V_total_eV(self) -> np.ndarray:
         return self.V_total_J / EV
 
 
+@_float_errors
 def potential_profile(a, dp: DerivedParams, z_grid, source: str,
-                      c0: float = 0.0) -> list[ProfileRow]:
-    """Tabulate V_a, V_sys and their sum over a z grid (z > 0 throughout)."""
+                      c0: float = 0.0) -> PotentialProfile:
+    """Tabulate V_a, V_sys and their sum over a z grid (z > 0 throughout).
+    V_a is checked first, so a bad z is reported by the inverse-square term."""
     eff = effective_hamiltonian_z(OrderingParam(a), dp, source, c0)
-    rows = []
-    for z in z_grid:
-        va = eff.v_a(z)
-        vs = eff.v_sys(z)
-        rows.append(ProfileRow(z=z, V_a_J=va, V_sys_J=vs, V_total_J=va + vs))
-    return rows
+    z = np.asarray(z_grid, dtype=float)
+    v_a = eff.v_a(z)
+    v_sys = eff.v_sys(z)
+    return PotentialProfile(z=z, V_a_J=v_a, V_sys_J=v_sys, V_total_J=v_a + v_sys)
 
 
 def barrier_info(dp: DerivedParams, c0: float = 0.0) -> tuple[float, float]:

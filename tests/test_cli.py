@@ -11,10 +11,11 @@ import pytest
 
 import pdmbubble
 from pdmbubble.algebra import OrderingParam
+from pdmbubble import cli
 from pdmbubble.cli import MAX_POINTS, run
-from pdmbubble.helium import DEFAULT_HE4, derived_params
+from pdmbubble.helium import DEFAULT_HE4, EV, derived_params
 from pdmbubble.spectral import Grid, SymTriMatrix, assemble, eigenvalues
-from pdmbubble.susy import z_space_operator
+from pdmbubble.susy import inverse_square_coefficient, z_space_operator
 
 
 def invoke(*argv):
@@ -59,7 +60,9 @@ class TestParams:
     def test_pressure_ratio(self):
         data = invoke_json("params", "--pressure-ratio", "0.8")
         assert float(data["inputs"]["P"]) == pytest.approx(0.8 * 8.1445e4)
-        assert float(data["R_c"]) == pytest.approx(5.0 * 2.94677389649e-9)
+        assert float(data["R_c"]) == pytest.approx(
+            5.0 * 2.94677389649e-9, rel=1e-11, abs=0
+        )
 
     def test_missing_config_file_is_io_error(self):
         code, out, err = invoke("params", "--config", "/nonexistent/x.cfg")
@@ -315,6 +318,24 @@ class TestSpectrum:
         assert err == f"error: domain: --points must be at most {MAX_POINTS}\n"
 
 
+def scalar_scan(a, source, zmin, zmax, points, ratios):
+    """scan's stdout built one row at a time, as the table was first written:
+    Python floats in the scalar order and one f-string per value."""
+    zs = [zmin + i * (zmax - zmin) / (points - 1) for i in range(points)]
+    c_a = float(inverse_square_coefficient(a, source))
+    lines = ["pressure_ratio,z,V_a_eV,V_sys_eV,V_total_eV\n"]
+    for ratio in ratios:
+        d = derived_params(DEFAULT_HE4.with_pressure(ratio * DEFAULT_HE4.P_v))
+        for z in zs:
+            va = d.k * c_a / z**2
+            vs = d.U0 * z**0.8 * (1.0 - z**0.4)
+            lines.append(
+                f"{ratio:.11e},{z:.11e},{va / EV:.11e},{vs / EV:.11e},"
+                f"{(va + vs) / EV:.11e}\n"
+            )
+    return "".join(lines)
+
+
 class TestScan:
     def test_header_and_ordering(self):
         code, out, err = invoke("scan", "--points", "5")
@@ -369,6 +390,57 @@ class TestScan:
         code, out, err = invoke("scan", "--pressures", "0.8,1.2", "--points", "3")
         assert (code, out) == (2, "")
         assert err.startswith("error: domain:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("scan", f"--a={10**200}", "--points", "3"),
+            ("spectrum", f"--a={10**200}", "--points", "10"),
+        ],
+    )
+    def test_c_a_out_of_float_range_is_one_domain_error(self, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(*argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: domain: inverse-square potential: c_a out of float range\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("spectrum", "--a=-1/3", "--zmin", "-1"), "v_sys requires z > 0"),
+            (("scan", "--zmin", "0"), "inverse-square potential requires z > 0"),
+            (("scan", "--zmin", "-5", "--zmax", "1e200", "--points", "3"),
+             "inverse-square potential requires z > 0"),
+            (("scan", "--zmin", "1e-170", "--zmax", "1e200", "--points", "3"),
+             "inverse-square potential: z**2 out of float range at z = 1e-170"),
+        ],
+    )
+    def test_first_bad_z_names_the_error(self, argv, message):
+        code, out, err = invoke(*argv)
+        assert (code, out, err) == (2, "", f"error: domain: {message}\n")
+
+    @pytest.mark.parametrize("a", [F(-1, 3), F(1, 6)])
+    @pytest.mark.parametrize("source", ["expanded", "paper"])
+    def test_stdout_matches_per_row_formatting(self, a, source):
+        code, out, err = invoke(
+            "scan", f"--a={a}", "--source", source, "--points", "5000",
+            "--pressures", "0.95,0.8",
+        )
+        assert code == 0, err
+        assert out == scalar_scan(a, source, 0.05, 3.0, 5000, [0.8, 0.95])
+
+    def test_rows_spanning_several_chunks(self, monkeypatch):
+        monkeypatch.setattr(cli, "SCAN_CHUNK", 7)
+        code, out, err = invoke(
+            "scan", "--zmin", "1e-8", "--zmax", "0.02", "--points", "50",
+            "--pressures", "0.5,0.9",
+        )
+        assert code == 0, err
+        expected = scalar_scan(F(-1, 3), "expanded", 1e-8, 0.02, 50, [0.5, 0.9])
+        assert out == expected
 
 
 class TestDeterminism:

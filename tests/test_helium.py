@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import asdict
 from fractions import Fraction as F
 
@@ -17,8 +18,10 @@ from pdmbubble.helium import (
     PhysicsError,
     barrier_info,
     derived_params,
+    effective_hamiltonian_z,
     potential_profile,
 )
+from pdmbubble.algebra import OrderingParam
 
 
 def hamiltonian(U0=1.0, c0=0.0, k=1.0, c_a=F(-9, 100)) -> EffectiveHamiltonianZ:
@@ -68,8 +71,8 @@ class TestPhysicalParams:
 class TestDerivedParams:
     def test_critical_radius(self):
         d = derived_params(DEFAULT_HE4)
-        assert d.R_c == pytest.approx(2.0 * 0.12e-3 / 8.1445e4, rel=1e-15)
-        assert d.R_c == pytest.approx(29.5e-10, rel=5e-3)
+        assert d.R_c == pytest.approx(2.0 * 0.12e-3 / 8.1445e4, rel=1e-15, abs=0)
+        assert d.R_c == pytest.approx(29.5e-10, rel=5e-3, abs=0)
 
     def test_thermal_wavelength(self):
         d = derived_params(DEFAULT_HE4)
@@ -77,18 +80,18 @@ class TestDerivedParams:
             2.0 * math.pi * HELIUM4_MASS * K_B * 4.0
         )
         assert d.Lambda == expected
-        assert d.Lambda == pytest.approx(4.36e-10, rel=1e-2)
+        assert d.Lambda == pytest.approx(4.36e-10, rel=1e-2, abs=0)
 
     def test_thermal_momentum(self):
         d = derived_params(DEFAULT_HE4)
-        assert d.p_Th == pytest.approx(1.52e-24, rel=1e-2)
+        assert d.p_Th == pytest.approx(1.52e-24, rel=1e-2, abs=0)
 
     def test_momentum_wavelength_identity(self):
         for t in (1.0, 4.0, 40.0):
             d = derived_params(
                 PhysicalParams(sigma=0.12e-3, P_v=8.1445e4, rho_L=140.0, T=t)
             )
-            assert d.p_Th * d.Lambda == pytest.approx(PLANCK_H, rel=1e-15)
+            assert d.p_Th * d.Lambda == pytest.approx(PLANCK_H, rel=1e-15, abs=0)
 
     def test_inside_pressure_equals_vapor_pressure(self):
         for ratio in (0.0, 0.5, 0.8, 0.95):
@@ -100,7 +103,7 @@ class TestDerivedParams:
         d = derived_params(DEFAULT_HE4)
         expected = 4.0 * math.pi * 0.12e-3 * d.R_c**2
         assert d.U0 == expected
-        assert d.U0 == pytest.approx(1.31e-20, rel=1e-2)
+        assert d.U0 == pytest.approx(1.31e-20, rel=1e-2, abs=0)
 
     def test_mass_scale_zero_vapor_density(self):
         d = derived_params(DEFAULT_HE4)
@@ -112,11 +115,11 @@ class TestDerivedParams:
         )
         d0 = derived_params(DEFAULT_HE4)
         d = derived_params(p)
-        assert d.M0 == pytest.approx(0.25 * d0.M0, rel=1e-15)
+        assert d.M0 == pytest.approx(0.25 * d0.M0, rel=1e-15, abs=0)
 
     def test_kinetic_prefactor(self):
         d = derived_params(DEFAULT_HE4)
-        assert d.k == pytest.approx(HBAR**2 / (2.0 * d.M0 * d.R_c**2), rel=1e-15)
+        assert d.k == pytest.approx(HBAR**2 / (2.0 * d.M0 * d.R_c**2), rel=1e-15, abs=0)
 
     def test_all_positive(self):
         d = derived_params(DEFAULT_HE4.with_pressure(0.9 * DEFAULT_HE4.P_v))
@@ -149,27 +152,27 @@ class TestDerivedParams:
         # the thermal momentum is far below sqrt(U0 M0) at these inputs;
         # printed by the CLI, never asserted as an inequality elsewhere
         d = derived_params(DEFAULT_HE4)
-        assert math.sqrt(d.U0 * d.M0) == pytest.approx(7.68e-22, rel=1e-2)
+        assert math.sqrt(d.U0 * d.M0) == pytest.approx(7.68e-22, rel=1e-2, abs=0)
         assert d.p_Th < math.sqrt(d.U0 * d.M0)
 
 
 class TestPotentials:
     def test_v_sys_vanishes_at_unit_radius(self):
-        assert hamiltonian(U0=3.7).v_sys(1.0) == 0.0
-        assert hamiltonian(U0=3.7, c0=2.0).v_sys(1.0) == 2.0
+        assert hamiltonian(U0=3.7).v_sys([1.0])[0] == 0.0
+        assert hamiltonian(U0=3.7, c0=2.0).v_sys([1.0])[0] == 2.0
 
     def test_v_sys_positive_inside_negative_outside(self):
-        assert hamiltonian(U0=1.0).v_sys(0.5) > 0
-        assert hamiltonian(U0=1.0).v_sys(2.0) < 0
+        inside, outside = hamiltonian(U0=1.0).v_sys([0.5, 2.0])
+        assert inside > 0 > outside
 
     def test_v_sys_requires_positive_z(self):
         with pytest.raises(PhysicsError):
-            hamiltonian(U0=1.0).v_sys(0.0)
+            hamiltonian(U0=1.0).v_sys([0.0])
         with pytest.raises(PhysicsError):
-            hamiltonian(k=1.0, c_a=F(-9, 100)).v_a(-1.0)
+            hamiltonian(k=1.0, c_a=F(-9, 100)).v_a([-1.0])
 
     def test_inverse_square_negative_divergence(self):
-        values = [hamiltonian(k=1.0, c_a=F(-9, 100)).v_a(z) for z in (0.1, 0.01)]
+        values = hamiltonian(k=1.0, c_a=F(-9, 100)).v_a([0.1, 0.01])
         assert values[1] < values[0] < 0
         assert values[1] == pytest.approx(100.0 * values[0])
 
@@ -180,22 +183,20 @@ class TestProfile:
 
     def test_columns_and_units(self):
         d = derived_params(DEFAULT_HE4.with_pressure(0.8 * DEFAULT_HE4.P_v))
-        rows = potential_profile(F(-1, 6), d, [0.5, 1.0], "paper")
-        assert [r.z for r in rows] == [0.5, 1.0]
-        for r in rows:
-            assert r.V_total_J == pytest.approx(r.V_a_J + r.V_sys_J, rel=1e-15)
-            assert r.V_total_eV == pytest.approx(r.V_total_J / EV, rel=1e-15)
+        p = potential_profile(F(-1, 6), d, [0.5, 1.0], "paper")
+        assert p.z.tolist() == [0.5, 1.0]
+        assert p.V_total_J.tolist() == (p.V_a_J + p.V_sys_J).tolist()
+        assert p.V_total_eV.tolist() == (p.V_total_J / EV).tolist()
 
     def test_negative_divergence_near_origin(self):
         d = derived_params(DEFAULT_HE4.with_pressure(0.8 * DEFAULT_HE4.P_v))
-        rows = potential_profile(F(-1, 6), d, [1e-7, 1e-8, 1e-9], "paper")
-        totals = [r.V_total_J for r in rows]
+        totals = potential_profile(F(-1, 6), d, [1e-7, 1e-8, 1e-9], "paper").V_total_J
         assert totals[0] > totals[1] > totals[2]
         assert totals[2] < -1e3 * d.U0
 
     def test_single_interior_maximum_of_v_sys(self):
         d = derived_params(DEFAULT_HE4.with_pressure(0.8 * DEFAULT_HE4.P_v))
-        vs = [r.V_sys_J for r in potential_profile(F(-1, 6), d, self.grid(), "paper")]
+        vs = potential_profile(F(-1, 6), d, self.grid(), "paper").V_sys_J
         sign_changes = 0
         for i in range(1, len(vs) - 1):
             if vs[i] > vs[i - 1] and vs[i] > vs[i + 1]:
@@ -206,16 +207,70 @@ class TestProfile:
         heights = []
         for ratio in (0.8, 0.95):
             d = derived_params(DEFAULT_HE4.with_pressure(ratio * DEFAULT_HE4.P_v))
-            rows = potential_profile(F(-1, 6), d, self.grid(), "paper")
-            heights.append(max(r.V_sys_J for r in rows))
+            profile = potential_profile(F(-1, 6), d, self.grid(), "paper")
+            heights.append(max(profile.V_sys_J))
         assert heights[1] > heights[0]
 
     def test_source_selects_coefficient(self):
         d = derived_params(DEFAULT_HE4)
-        paper = potential_profile(F(0), d, [0.5], "paper")[0].V_a_J
-        expanded = potential_profile(F(0), d, [0.5], "expanded")[0].V_a_J
-        assert paper == pytest.approx(d.k * (-21.0 / 100.0) / 0.25)
-        assert expanded == pytest.approx(d.k * (39.0 / 100.0) / 0.25)
+        paper = potential_profile(F(0), d, [0.5], "paper").V_a_J[0]
+        expanded = potential_profile(F(0), d, [0.5], "expanded").V_a_J[0]
+        assert paper == pytest.approx(d.k * (-21.0 / 100.0) / 0.25, rel=1e-12, abs=0)
+        assert expanded == pytest.approx(d.k * (39.0 / 100.0) / 0.25, rel=1e-12, abs=0)
+
+
+def uniform(lo, hi, n):
+    return [lo + i * (hi - lo) / (n - 1) for i in range(n)]
+
+
+class TestColumns:
+    """The columns equal, bit for bit, V_a and V_sys evaluated one point at a
+    time with Python floats in the scalar order: (k c_a)/z**2 and
+    (U0 z**0.8)(1 - z**0.4) + c0."""
+
+    @pytest.mark.parametrize("box", [(0.05, 3.0), (1e-8, 0.02)])
+    @pytest.mark.parametrize("a", [F(-1, 3), F(0), F(1, 6)])
+    @pytest.mark.parametrize("source", ["expanded", "paper"])
+    def test_bit_identical_to_per_point_reference(self, box, a, source):
+        d = derived_params(DEFAULT_HE4.with_pressure(0.8 * DEFAULT_HE4.P_v))
+        c0 = 0.25 * d.U0
+        zs = uniform(*box, 10007)
+        eff = effective_hamiltonian_z(OrderingParam(a), d, source, c0)
+        k_c_a = d.k * float(eff.c_a)
+        v_a = [k_c_a / z**2 for z in zs]
+        v_sys = [d.U0 * z**0.8 * (1.0 - z**0.4) + c0 for z in zs]
+        assert eff.v_a(zs).tolist() == v_a
+        assert eff.v_sys(zs).tolist() == v_sys
+        p = potential_profile(a, d, zs, source, c0)
+        assert p.z.tolist() == zs
+        assert p.V_total_J.tolist() == [x + y for x, y in zip(v_a, v_sys)]
+        assert p.V_a_eV.tolist() == [x / EV for x in v_a]
+        assert p.V_sys_eV.tolist() == [y / EV for y in v_sys]
+        assert p.V_total_eV.tolist() == [(x + y) / EV for x, y in zip(v_a, v_sys)]
+
+    @pytest.mark.parametrize(
+        "zs, message",
+        [
+            ([1.0, 1e-200, -1.0], "z**2 out of float range at z = 1e-200"),
+            ([1.0, -1.0, 1e200], "inverse-square potential requires z > 0"),
+            ([1.0, 1e200, math.nan], "z**2 out of float range at z = 1e+200"),
+            ([1.0, math.nan, 0.0], "inverse-square potential requires finite z"),
+        ],
+    )
+    def test_first_bad_z_in_order_names_the_error(self, zs, message):
+        with pytest.raises(PhysicsError, match=re.escape(message)):
+            hamiltonian().v_a(zs)
+
+    def test_v_sys_reports_first_bad_z_in_order(self):
+        with pytest.raises(PhysicsError, match="v_sys requires finite z"):
+            hamiltonian().v_sys([1.0, math.inf, -1.0])
+        with pytest.raises(PhysicsError, match="v_sys requires z > 0"):
+            hamiltonian().v_sys([1.0, -1.0, math.inf])
+
+    def test_c_a_out_of_float_range_is_physics_error(self):
+        eff = hamiltonian(c_a=F(10**400))
+        with pytest.raises(PhysicsError, match="c_a out of float range"):
+            eff.v_a([1.0])
 
 
 class TestBarrier:
@@ -224,16 +279,17 @@ class TestBarrier:
         z_star, v_star = barrier_info(d)
         assert z_star == pytest.approx((2.0 / 3.0) ** 2.5, rel=1e-12)
         assert z_star == pytest.approx(0.36289, abs=5e-6)
-        assert v_star == pytest.approx(4.0 / 27.0 * d.U0, rel=1e-12)
+        assert v_star == pytest.approx(4.0 / 27.0 * d.U0, rel=1e-12, abs=0)
 
     def test_stationary_point_is_maximum_of_v_sys(self):
         d = derived_params(DEFAULT_HE4)
         z_star, v_star = barrier_info(d)
         eff = hamiltonian(U0=d.U0)
-        assert eff.v_sys(z_star) == pytest.approx(v_star, rel=1e-12)
         eps = 1e-6
-        assert eff.v_sys(z_star - eps) < v_star
-        assert eff.v_sys(z_star + eps) < v_star
+        below, at, above = eff.v_sys([z_star - eps, z_star, z_star + eps])
+        assert at == pytest.approx(v_star, rel=1e-12, abs=0)
+        assert below < v_star
+        assert above < v_star
 
     def test_reference_level_offset(self):
         d = derived_params(DEFAULT_HE4)

@@ -241,15 +241,16 @@ class TestEffectiveHamiltonian:
         eff = effective_hamiltonian_z(OrderingParam(F(-1, 6)), d, "paper")
         assert eff.kinetic_prefactor == d.k
         assert eff.c_a == F(-9, 100)
-        assert eff.v_a(2.0) == pytest.approx(d.k * -0.09 / 4.0)
-        assert eff.v_sys(1.0) == pytest.approx(0.0)
+        assert eff.v_a([2.0])[0] == pytest.approx(d.k * -0.09 / 4.0, rel=1e-12, abs=0)
+        assert eff.v_sys([1.0])[0] == 0.0
 
     def test_v_sys_stationary_point(self):
         d = derived_params(DEFAULT_HE4)
         eff = effective_hamiltonian_z(OrderingParam(F(0)), d, "expanded")
         z_star = (2.0 / 3.0) ** 2.5
         assert z_star == pytest.approx(0.3628873693012116)
-        assert eff.v_sys(z_star) == pytest.approx(4.0 / 27.0 * d.U0, rel=1e-12)
         h = 1e-7
-        deriv = (eff.v_sys(z_star + h) - eff.v_sys(z_star - h)) / (2 * h)
+        below, at, above = eff.v_sys([z_star - h, z_star, z_star + h])
+        assert at == pytest.approx(4.0 / 27.0 * d.U0, rel=1e-12, abs=0)
+        deriv = (above - below) / (2 * h)
         assert abs(deriv) < 1e-5 * d.U0
