@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
@@ -102,27 +103,25 @@ def _bad_z(name: str, z: float) -> str:
     return f"{name} requires z > 0" if z <= 0 else f"{name} requires finite z"
 
 
-def _column(zs) -> tuple[list[float], np.ndarray]:
-    """zs as Python floats and as a float64 array.  The potentials take their
-    powers of z from the floats, one point at a time: numpy's array ``**``
-    differs from Python's float ``**`` in the last bit at some points, and the
-    printed digits must not depend on which is used.  Every product, sum and
-    quotient after that is done on the array, in the same order as on one
-    point, so each entry is bit-identical to the per-point value."""
-    z = np.asarray(zs, dtype=float)
-    return z.tolist(), z
+def _powers(z_list: list[float], e: float, power=pow) -> np.ndarray:
+    """z**e at each point, by Python's float pow.  numpy's array ``**`` differs
+    from it in the last bit at some points, so the potentials take only their
+    powers point by point; every product, sum and quotient after that is done
+    on the arrays in the one-point order, which keeps each entry bit-identical
+    to the one-point value."""
+    return np.fromiter(map(power, z_list, repeat(e)), float, len(z_list))
+
+
+def _pow_or_inf(x: float, e: float) -> float:
+    try:
+        return x**e
+    except OverflowError:
+        return math.inf
 
 
 # Column arithmetic overflows to inf and makes nan silently, as Python's float
 # arithmetic does on one point.
 _float_errors = np.errstate(over="ignore", invalid="ignore")
-
-
-def _square_or_inf(x: float) -> float:
-    try:
-        return x**2
-    except OverflowError:
-        return math.inf
 
 
 @dataclass(frozen=True)
@@ -142,11 +141,12 @@ class EffectiveHamiltonianZ:
         """Ordering-dependent inverse-square potential k c_a / z^2 (J) on a
         column of z.  The first z in order that is not in (0, inf), or whose
         z**2 leaves the float range, raises."""
-        z_list, z = _column(zs)
+        z = np.asarray(zs, dtype=float)
+        z_list = z.tolist()
         try:
-            z2 = np.array([x**2 for x in z_list])
-        except OverflowError:  # Python's float ** raises where it overflows
-            z2 = np.array([_square_or_inf(x) for x in z_list])
+            z2 = _powers(z_list, 2)
+        except OverflowError:  # Python's float pow raises where it overflows
+            z2 = _powers(z_list, 2, _pow_or_inf)
         ok = (0 < z) & (z < math.inf) & (0 < z2) & (z2 < math.inf)
         if not ok.all():
             x = z_list[int(np.argmin(ok))]
@@ -167,12 +167,12 @@ class EffectiveHamiltonianZ:
     def v_sys(self, zs) -> np.ndarray:
         """System potential U0 z^{4/5} (1 - z^{2/5}) + c0 (J) on a column of
         z.  The first z in order that is not in (0, inf) raises."""
-        z_list, z = _column(zs)
+        z = np.asarray(zs, dtype=float)
+        z_list = z.tolist()
         ok = (0 < z) & (z < math.inf)
         if not ok.all():
             raise PhysicsError(_bad_z("v_sys", z_list[int(np.argmin(ok))]))
-        p08 = np.array([x**0.8 for x in z_list])
-        p04 = np.array([x**0.4 for x in z_list])
+        p08, p04 = _powers(z_list, 0.8), _powers(z_list, 0.4)
         return self.U0 * p08 * (1.0 - p04) + self.c0
 
 
