@@ -456,28 +456,6 @@ class DiffOp:
         ]
         return {"prefactor": {"p": "1", "q": "0"}, "terms": terms}
 
-    @staticmethod
-    def from_jsonable(data: dict) -> "DiffOp":
-        pf = Coeff(Fraction(data["prefactor"]["p"]), Fraction(data["prefactor"]["q"]))
-        terms = []
-        for t in data["terms"]:
-            poly = PolyX(
-                [
-                    (
-                        Coeff(
-                            Fraction(e["p"]),
-                            Fraction(e["q"]),
-                            Fraction(e.get("ip", 0)),
-                            Fraction(e.get("iq", 0)),
-                        ),
-                        Fraction(e["exponent_num"], e["exponent_den"]),
-                    )
-                    for e in t["poly"]
-                ]
-            )
-            terms.append((poly, t["order"]))
-        return DiffOp(terms, prefactor=pf)
-
 
 @dataclass(frozen=True)
 class PowerLawMass:

@@ -27,10 +27,11 @@ from .helium import (
     barrier_info,
     derived_params,
     effective_hamiltonian_z,
+    parse_params,
     potential_profile,
 )
 from .ordering import MatchError, match_orderings, named_orderings
-from .parsing import ParseError, parse_hamiltonian, parse_params
+from .parsing import ParseError, parse_hamiltonian
 from .pointmass import (
     TransformError,
     measure_of_map,
@@ -109,7 +110,7 @@ def _emit_json(data, out) -> None:
 
 
 def _load_params(args):
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             params = parse_params(fh.read())
     else:
@@ -266,7 +267,12 @@ def _cmd_scan(args, out) -> int:
     for i, (ratio, d) in enumerate(states):
         profile = potential_profile(args.a, d, zs, args.source)
         if i == 0:
-            # the z grid is shared, so the first table has validated every z
+            # the z grid is shared, so the first table has validated every z;
+            # |V_sys| grows with U0, so the largest U0 checks every table's V_sys
+            top = max(states, key=lambda state: state[1].U0)[1]
+            if top is not d:
+                eff = effective_hamiltonian_z(OrderingParam(args.a), top, args.source)
+                eff.v_sys(zs)
             out.write("pressure_ratio,z,V_a_eV,V_sys_eV,V_total_eV\n")
         row = ",".join([_fmt(ratio)] + [_NUMBER] * 4) + "\n"
         columns = (profile.z, profile.V_a_eV, profile.V_sys_eV,
@@ -338,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zmin", type=float, default=0.05)
     p.add_argument("--zmax", type=float, default=3.0)
     p.add_argument("--points", type=int, default=200)
-    add_config(p)
+    # P comes from each --pressures ratio, so scan takes no --pressure-ratio
+    p.add_argument("--config", help="parameter file (key=value lines)")
     p.set_defaults(func=_cmd_scan)
 
     return parser

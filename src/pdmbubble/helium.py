@@ -1,6 +1,7 @@
 """Physical parameters for superheated liquid helium and derived scales.
 
-Inputs are SI; derived quantities include the critical radius, the barrier
+Inputs are SI, given in code or read from a key=value parameter file by
+``parse_params``; derived quantities include the critical radius, the barrier
 and mass scales, the kinetic prefactor of the effective z-space Hamiltonian,
 and thermal quantities.  The effective z-space Hamiltonian in joules, with
 its potentials V_a and V_sys, is defined here as well.
@@ -26,7 +27,7 @@ HELIUM4_MASS = 6.6465e-27       # kg
 EV = 1.602176634e-19            # J
 
 
-class PhysicsError(Exception):
+class PhysicsError(ValueError):
     """Invalid or unsupported physical parameter combination."""
 
 
@@ -59,6 +60,36 @@ class PhysicalParams:
         return replace(self, P=P)
 
 
+def parse_params(text: str) -> PhysicalParams:
+    """Parse a key=value parameter file (LF or CRLF, '#' comments).
+
+    The keys are the PhysicalParams fields (SI units); each is required
+    except rho_v, which defaults to 0.
+    """
+    keys = [f.name for f in fields(PhysicalParams)]
+    values: dict[str, float] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
+        key, _, val = line.partition("=")
+        key = key.strip()
+        if key not in keys:
+            raise ValueError(f"line {lineno}: unknown key {key!r}")
+        try:
+            values[key] = float(val.strip())
+        except ValueError:
+            raise ValueError(
+                f"line {lineno}: non-numeric value for {key}: {val.strip()!r}"
+            ) from None
+    for key in keys:
+        if key not in values and key != "rho_v":
+            raise ValueError(f"missing key {key}")
+    return PhysicalParams(**values)
+
+
 #: Typical superfluid helium values at T = 4 K.
 DEFAULT_HE4 = PhysicalParams(sigma=0.12e-3, P_v=8.1445e4, rho_L=140.0, T=4.0)
 
@@ -77,6 +108,14 @@ class DerivedParams:
     P_i_at_Rc: float  # Pa
 
 
+def _pow_or_inf(x: float, e: float) -> float:
+    """x**e, or inf where Python's float pow raises OverflowError."""
+    try:
+        return x**e
+    except OverflowError:
+        return math.inf
+
+
 def derived_params(p: PhysicalParams) -> DerivedParams:
     """All derived scales for a superheated state (requires P < P_v)."""
     if p.P >= p.P_v:
@@ -84,11 +123,12 @@ def derived_params(p: PhysicalParams) -> DerivedParams:
             "no critical radius: applied pressure must be below P_v"
         )
     r_c = 2.0 * p.sigma / (p.P_v - p.P)
-    u0 = 4.0 * math.pi * p.sigma * r_c**2
-    m0 = 4.0 * math.pi * (1.0 - p.rho_v / p.rho_L) ** 2 * p.rho_L * r_c**3
-    k = HBAR**2 / (2.0 * m0 * r_c**2)
+    r_c2 = _pow_or_inf(r_c, 2)
+    u0 = 4.0 * math.pi * p.sigma * r_c2
+    m0 = 4.0 * math.pi * (1.0 - p.rho_v / p.rho_L) ** 2 * p.rho_L * _pow_or_inf(r_c, 3)
+    k = HBAR**2 / (2.0 * m0 * r_c2)
     lam = PLANCK_H / math.sqrt(2.0 * math.pi * HELIUM4_MASS * K_B * p.T)
-    return DerivedParams(
+    d = DerivedParams(
         R_c=r_c,
         U0=u0,
         M0=m0,
@@ -97,6 +137,10 @@ def derived_params(p: PhysicalParams) -> DerivedParams:
         p_Th=PLANCK_H / lam,
         P_i_at_Rc=p.P + 2.0 * p.sigma / r_c,
     )
+    for f in fields(d):
+        if not math.isfinite(getattr(d, f.name)):
+            raise PhysicsError(f"{f.name} out of float range")
+    return d
 
 
 def _bad_z(name: str, z: float) -> str:
@@ -110,13 +154,6 @@ def _powers(z_list: list[float], e: float, power=pow) -> np.ndarray:
     on the arrays in the one-point order, which keeps each entry bit-identical
     to the one-point value."""
     return np.fromiter(map(power, z_list, repeat(e)), float, len(z_list))
-
-
-def _pow_or_inf(x: float, e: float) -> float:
-    try:
-        return x**e
-    except OverflowError:
-        return math.inf
 
 
 # Column arithmetic overflows to inf and makes nan silently, as Python's float
@@ -166,14 +203,20 @@ class EffectiveHamiltonianZ:
     @_float_errors
     def v_sys(self, zs) -> np.ndarray:
         """System potential U0 z^{4/5} (1 - z^{2/5}) + c0 (J) on a column of
-        z.  The first z in order that is not in (0, inf) raises."""
+        z.  The first z in order that is not in (0, inf), or where V_sys is
+        not finite, raises."""
         z = np.asarray(zs, dtype=float)
         z_list = z.tolist()
         ok = (0 < z) & (z < math.inf)
         if not ok.all():
             raise PhysicsError(_bad_z("v_sys", z_list[int(np.argmin(ok))]))
         p08, p04 = _powers(z_list, 0.8), _powers(z_list, 0.4)
-        return self.U0 * p08 * (1.0 - p04) + self.c0
+        v = self.U0 * p08 * (1.0 - p04) + self.c0
+        ok = np.isfinite(v)
+        if not ok.all():
+            x = z_list[int(np.argmin(ok))]
+            raise PhysicsError(f"v_sys out of float range at z = {x:g}")
+        return v
 
 
 def effective_hamiltonian_z(

@@ -1,5 +1,4 @@
-"""Recursive-descent parser for the classical-Hamiltonian DSL and for
-key=value parameter files.
+"""Recursive-descent parser for the classical-Hamiltonian DSL.
 
 The DSL covers sums of products of rational literals, bound names, x with
 rational powers, and p up to p^2.  Precedence, tightest first: unary minus,
@@ -14,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Coeff, PolyX
-from .helium import PhysicalParams, PhysicsError
 
 
 class ParseError(Exception):
@@ -329,44 +327,3 @@ def parse_hamiltonian(text: str, bindings: dict | None = None) -> ClassicalSymbo
     except ZeroDivisionError:
         raise ParseError(len(text), "a nonzero divisor", "zero") from None
     return ClassicalSymbol.from_parts(value.parts)
-
-
-_PARAM_KEYS = ("sigma", "P_v", "rho_L", "rho_v", "T", "P")
-
-
-def parse_params(text: str) -> PhysicalParams:
-    """Parse a key=value parameter file (LF or CRLF, '#' comments).
-
-    Keys: sigma, P_v, rho_L, rho_v, T, P (SI units); rho_v defaults to 0.
-    """
-    values: dict[str, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        if key not in _PARAM_KEYS:
-            raise ValueError(f"line {lineno}: unknown key {key!r}")
-        try:
-            values[key] = float(val.strip())
-        except ValueError:
-            raise ValueError(
-                f"line {lineno}: non-numeric value for {key}: {val.strip()!r}"
-            ) from None
-    for key in ("sigma", "P_v", "rho_L", "T", "P"):
-        if key not in values:
-            raise ValueError(f"missing key {key}")
-    try:
-        return PhysicalParams(
-            sigma=values["sigma"],
-            P_v=values["P_v"],
-            rho_L=values["rho_L"],
-            T=values["T"],
-            P=values["P"],
-            rho_v=values.get("rho_v", 0.0),
-        )
-    except PhysicsError as exc:
-        raise ValueError(str(exc)) from None

@@ -12,7 +12,9 @@ Two partner-potential sources are carried side by side:
 * ``expanded`` -- exact operator subtraction A(+-) A(-+) minus the kinetic
                   sandwich.
 
-The two agree only at a = -1/4; the divergence is surfaced, not resolved.
+``paper``'s V+ and c_a at a equal ``expanded``'s at the dual ordering
+b = -1/2 - a, so at the same a they agree only at a = -1/4; V- agrees at every
+a.  The divergence is surfaced, not resolved.
 """
 
 from __future__ import annotations

@@ -82,6 +82,18 @@ class TestParams:
         assert code == 2
         assert err.startswith("error: domain:")
 
+    @pytest.mark.parametrize("command", ["params", "spectrum", "scan"])
+    def test_scale_out_of_float_range_is_one_domain_error(self, tmp_path, command):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("sigma = 1e200\nP_v = 1\nrho_L = 140\nT = 4\nP = 0\n")
+        argv = [command, "--config", str(cfg)]
+        if command == "spectrum":
+            argv.append("--a=-1/3")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(*argv)
+        assert (code, out, err) == (2, "", "error: domain: U0 out of float range\n")
+
     def test_non_finite_pressure_ratio_is_domain_error(self):
         code, out, err = invoke("params", "--pressure-ratio", "nan")
         assert (code, out) == (2, "")
@@ -421,6 +433,32 @@ class TestScan:
     def test_first_bad_z_names_the_error(self, argv, message):
         code, out, err = invoke(*argv)
         assert (code, out, err) == (2, "", f"error: domain: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, z",
+        [
+            (("scan", "--zmax", "1e10", "--points", "3"), "5e+09"),
+            (("spectrum", "--a=-1/3", "--zmax", "1e10", "--points", "10"),
+             "9.09091e+08"),
+            # the first table is finite; the 0.9 table is refused before it
+            (("scan", "--zmax", "1e5", "--points", "3", "--pressures", "0,0.9"),
+             "50000.5"),
+        ],
+    )
+    def test_v_sys_out_of_float_range_is_one_domain_error(self, tmp_path, argv, z):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("sigma = 1e100\nP_v = 1\nrho_L = 1\nT = 4\nP = 0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(*argv, "--zmin", "1", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == f"error: domain: v_sys out of float range at z = {z}\n"
+
+    def test_pressure_ratio_is_not_a_scan_option(self):
+        code, out, err = invoke("scan", "--pressure-ratio", "0.5", "--points", "3")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: usage:")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("a", [F(-1, 3), F(1, 6)])
     @pytest.mark.parametrize("source", ["expanded", "paper"])

@@ -131,6 +131,15 @@ class TestDerivedParams:
         with pytest.raises(PhysicsError):
             derived_params(DEFAULT_HE4.with_pressure(1.5 * DEFAULT_HE4.P_v))
 
+    @pytest.mark.parametrize(
+        "sigma, P_v, name",
+        [(1e300, 1e-10, "R_c"), (1e200, 1.0, "U0"), (1e60, 1e-43, "M0")],
+    )
+    def test_scale_out_of_float_range_is_physics_error(self, sigma, P_v, name):
+        p = PhysicalParams(sigma=sigma, P_v=P_v, rho_L=140.0, T=4.0)
+        with pytest.raises(PhysicsError, match=f"^{name} out of float range$"):
+            derived_params(p)
+
     def test_radius_increases_with_pressure(self):
         radii = [
             derived_params(DEFAULT_HE4.with_pressure(r * DEFAULT_HE4.P_v)).R_c
@@ -266,6 +275,12 @@ class TestColumns:
             hamiltonian().v_sys([1.0, math.inf, -1.0])
         with pytest.raises(PhysicsError, match="v_sys requires z > 0"):
             hamiltonian().v_sys([1.0, -1.0, math.inf])
+
+    def test_v_sys_out_of_float_range_names_the_first_z(self):
+        with pytest.raises(
+            PhysicsError, match=re.escape("v_sys out of float range at z = 1e+10")
+        ):
+            hamiltonian(U0=1e300).v_sys([1.0, 1e10, 1e20])
 
     def test_c_a_out_of_float_range_is_physics_error(self):
         eff = hamiltonian(c_a=F(10**400))

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pdmbubble.algebra import Coeff, PolyX
-from pdmbubble.helium import PhysicalParams
+from pdmbubble.helium import PhysicalParams, parse_params
 from pdmbubble.parsing import (
     ClassicalSymbol,
     ParseError,
     PPowerError,
     UnboundNameError,
     parse_hamiltonian,
-    parse_params,
 )
 
 UNIT_BINDINGS = {"M0": Coeff.of(1), "U0": Coeff.of(1)}
