@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt, sqrt
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence, Union
 
 RationalLike = Union[int, Fraction]
@@ -52,10 +53,10 @@ class Coeff:
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a=0, b=0, c=0, d=0):
-        object.__setattr__(self, "a", _frac(a))
-        object.__setattr__(self, "b", _frac(b))
-        object.__setattr__(self, "c", _frac(c))
-        object.__setattr__(self, "d", _frac(d))
+        _set_a(self, _frac(a))
+        _set_b(self, _frac(b))
+        _set_c(self, _frac(c))
+        _set_d(self, _frac(d))
 
     def __setattr__(self, *_):
         raise AttributeError("Coeff is immutable")
@@ -65,7 +66,7 @@ class Coeff:
     def of(v) -> "Coeff":
         if isinstance(v, Coeff):
             return v
-        return Coeff(_frac(v))
+        return _coeff(_frac(v))
 
     @staticmethod
     def sqrt2(mult: RationalLike = 1) -> "Coeff":
@@ -101,14 +102,21 @@ class Coeff:
         return Coeff(self.a, self.b, -self.c, -self.d)
 
     # -- arithmetic ------------------------------------------------------
+    # Each operation first tries the rational (b = c = d = 0) and real
+    # (c = d = 0) cases, which cost one Fraction or one Q(sqrt2) operation;
+    # the general formula gives the same (canonical) Fractions.
     def __add__(self, other) -> "Coeff":
         o = Coeff.of(other)
-        return Coeff(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
+        if not (self.c or self.d or o.c or o.d):
+            if not (self.b or o.b):
+                return _coeff(self.a + o.a)
+            return _coeff(self.a + o.a, self.b + o.b)
+        return _coeff(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Coeff":
-        return Coeff(-self.a, -self.b, -self.c, -self.d)
+        return _coeff(-self.a, -self.b, -self.c, -self.d)
 
     def __sub__(self, other) -> "Coeff":
         return self + (-Coeff.of(other))
@@ -118,12 +126,16 @@ class Coeff:
 
     def __mul__(self, other) -> "Coeff":
         o = Coeff.of(other)
+        if not (self.c or self.d or o.c or o.d):
+            if not (self.b or o.b):
+                return _coeff(self.a * o.a)
+            return _coeff(*_q2_mul(self.a, self.b, o.a, o.b))
         # complex product over Q(sqrt2): (re1 + i im1)(re2 + i im2)
         ra, rb = _q2_mul(self.a, self.b, o.a, o.b)
         sa, sb = _q2_mul(self.c, self.d, o.c, o.d)
         ta, tb = _q2_mul(self.a, self.b, o.c, o.d)
         ua, ub = _q2_mul(self.c, self.d, o.a, o.b)
-        return Coeff(ra - sa, rb - sb, ta + ua, tb + ub)
+        return _coeff(ra - sa, rb - sb, ta + ua, tb + ub)
 
     __rmul__ = __mul__
 
@@ -138,7 +150,7 @@ class Coeff:
         ia, ib = _q2_inv(na + ma, nb + mb)
         ra, rb = _q2_mul(num.a, num.b, ia, ib)
         ca, cb = _q2_mul(num.c, num.d, ia, ib)
-        return Coeff(ra, rb, ca, cb)
+        return _coeff(ra, rb, ca, cb)
 
     def __rtruediv__(self, other) -> "Coeff":
         return Coeff.of(other) / self
@@ -179,6 +191,21 @@ class Coeff:
         return " + ".join(parts) if parts else "0"
 
 
+_F0 = Fraction(0)
+_set_a, _set_b, _set_c, _set_d = (Coeff.__dict__[k].__set__ for k in "abcd")
+
+
+def _coeff(a: Fraction, b: Fraction = _F0, c: Fraction = _F0,
+           d: Fraction = _F0) -> Coeff:
+    """A Coeff from four Fractions, without the _frac checks."""
+    self = object.__new__(Coeff)
+    _set_a(self, a)
+    _set_b(self, b)
+    _set_c(self, c)
+    _set_d(self, d)
+    return self
+
+
 def _q2_mul(a, b, c, d):
     """(a + b sqrt2)(c + d sqrt2) in Q(sqrt2)."""
     return a * c + 2 * b * d, a * d + b * c
@@ -203,19 +230,22 @@ class PolyX:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Iterable[tuple] = ()):
-        merged: dict[Fraction, Coeff] = {}
+        # keyed by (numerator, denominator): a Fraction's own hash is costly
+        merged: dict[tuple[int, int], tuple[Coeff, Fraction]] = {}
         for coeff, exp in terms:
-            c = Coeff.of(coeff)
-            e = _frac(exp)
-            if e in merged:
-                merged[e] = merged[e] + c
+            c = coeff if type(coeff) is Coeff else Coeff.of(coeff)
+            e = exp if type(exp) is Fraction else _frac(exp)
+            key = (e.numerator, e.denominator)
+            if key in merged:
+                merged[key] = (merged[key][0] + c, e)
             else:
-                merged[e] = c
+                merged[key] = (c, e)
         object.__setattr__(
             self,
             "terms",
             tuple(
-                (merged[e], e) for e in sorted(merged) if not merged[e].is_zero()
+                sorted((t for t in merged.values() if not t[0].is_zero()),
+                       key=itemgetter(1))
             ),
         )
 
@@ -338,6 +368,13 @@ class PolyX:
         return entries
 
 
+def _sum(polys: list[PolyX]) -> PolyX:
+    """The sum of one or more polynomials, merged once."""
+    if len(polys) == 1:
+        return polys[0]
+    return PolyX([t for p in polys for t in p.terms])
+
+
 class DiffOp:
     """A normal-ordered linear differential operator sum_k f_k(x) D^k.
 
@@ -348,13 +385,13 @@ class DiffOp:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Iterable[tuple] = (), prefactor=1):
-        merged: dict[int, PolyX] = {}
+        merged: dict[int, list[PolyX]] = {}
         for poly, order in terms:
             if order < 0:
                 raise ValueError("negative derivative order")
-            merged[order] = merged.get(order, PolyX.zero()) + poly
+            merged.setdefault(order, []).append(poly)
         pf = Coeff.of(prefactor)
-        scaled = ((merged[k].scale(pf), k) for k in sorted(merged))
+        scaled = ((_sum(merged[k]).scale(pf), k) for k in sorted(merged))
         object.__setattr__(
             self, "terms", tuple((p, k) for p, k in scaled if not p.is_zero())
         )
@@ -409,13 +446,18 @@ class DiffOp:
     def compose(self, other: "DiffOp") -> "DiffOp":
         """Normal-ordered product self o other via the Leibniz rule:
         (f D^m)(g D^n) = f * sum_j C(m, j) g^(j) D^(m + n - j)."""
+        top = self.order
+        derivs = []  # g, g', ..., g^(top) of each right-hand term, taken once
+        for g, n in other.terms:
+            gs = [g]
+            for _ in range(top):
+                gs.append(gs[-1].derivative())
+            derivs.append((gs, n))
         out = []
         for f, m in self.terms:
-            for g, n in other.terms:
-                gj = g
+            for gs, n in derivs:
                 for j in range(m + 1):
-                    out.append((f * gj.scale(comb(m, j)), m + n - j))
-                    gj = gj.derivative()
+                    out.append((f * gs[j].scale(comb(m, j)), m + n - j))
         return DiffOp(out)
 
     def commutator(self, other: "DiffOp") -> "DiffOp":

@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields
 from fractions import Fraction
+
+import numpy as np
 
 from .algebra import (
     AlgebraError,
@@ -104,6 +107,13 @@ def _check_points(points: int) -> None:
         raise ValueError(f"--points must be at most {MAX_POINTS}")
 
 
+def _require_finite(**columns) -> None:
+    """Refuse to print a column with a value outside the float range."""
+    for name, column in columns.items():
+        if not np.isfinite(column).all():
+            raise PhysicsError(f"{name} out of float range")
+
+
 def _emit_json(data, out) -> None:
     out.write(json.dumps(data, sort_keys=True, indent=2))
     out.write("\n")
@@ -142,10 +152,13 @@ def _cmd_params(args, out) -> int:
     p = _load_params(args)
     d = derived_params(p)
     z_star, v_star = barrier_info(d)
+    root = (d.U0 * d.M0) ** 0.5
+    if not 0 < root < math.inf:  # the product over- or underflows
+        raise PhysicsError("sqrt_U0_M0 out of float range")
     data = {
         "inputs": _field_strings(p, _fmt),
         **_field_strings(d, _fmt),
-        "sqrt_U0_M0": _fmt((d.U0 * d.M0) ** 0.5),
+        "sqrt_U0_M0": _fmt(root),
         "barrier": {"z_star": _fmt(z_star), "V_star": _fmt(v_star)},
     }
     _emit_json(data, out)
@@ -242,6 +255,9 @@ def _cmd_spectrum(args, out) -> int:
     v_a = eff.v_a(z)
     matrix = stencil(-eff.kinetic_prefactor, grid, v_a, v_sys)
     result = eigenvalues(matrix, args.count, grid)
+    levels = np.array(result.eigenvalues)
+    with np.errstate(over="ignore"):
+        _require_finite(eigenvalue_J=levels, eigenvalue_eV=levels / EV)
     out.write("index,eigenvalue_J,eigenvalue_eV\n")
     for i, ev in enumerate(result.eigenvalues):
         out.write(f"{i},{_fmt(ev)},{_fmt(ev / EV)}\n")
@@ -264,23 +280,29 @@ def _cmd_scan(args, out) -> int:
         (ratio, derived_params(base.with_pressure(ratio * base.P_v)))
         for ratio in ratios
     ]
-    for i, (ratio, d) in enumerate(states):
+
+    def table(d):
         profile = potential_profile(args.a, d, zs, args.source)
-        if i == 0:
-            # the z grid is shared, so the first table has validated every z;
-            # |V_sys| grows with U0, so the largest U0 checks every table's V_sys
-            top = max(states, key=lambda state: state[1].U0)[1]
-            if top is not d:
-                eff = effective_hamiltonian_z(OrderingParam(args.a), top, args.source)
-                eff.v_sys(zs)
-            out.write("pressure_ratio,z,V_a_eV,V_sys_eV,V_total_eV\n")
-        row = ",".join([_fmt(ratio)] + [_NUMBER] * 4) + "\n"
         columns = (profile.z, profile.V_a_eV, profile.V_sys_eV,
                    profile.V_total_eV)
+        _require_finite(V_a_eV=columns[1], V_sys_eV=columns[2],
+                        V_total_eV=columns[3])
+        return columns
+
+    # every table is checked before the header; the first is checked last
+    # and kept, so a one-ratio scan computes its table once
+    for _, d in states[1:]:
+        table(d)
+    columns = table(states[0][1])
+    out.write("pressure_ratio,z,V_a_eV,V_sys_eV,V_total_eV\n")
+    for i, (ratio, d) in enumerate(states):
+        if i:
+            columns = table(d)
+        row = ",".join([_fmt(ratio)] + [_NUMBER] * 4) + "\n"
         for start in range(0, len(zs), SCAN_CHUNK):
             chunk = [c[start:start + SCAN_CHUNK].tolist() for c in columns]
             out.write("".join([row % values for values in zip(*chunk)]))
-        del profile, columns  # one table in memory at a time
+        del columns  # one table in memory at a time
     return 0
 
 

@@ -126,7 +126,8 @@ def derived_params(p: PhysicalParams) -> DerivedParams:
     r_c2 = _pow_or_inf(r_c, 2)
     u0 = 4.0 * math.pi * p.sigma * r_c2
     m0 = 4.0 * math.pi * (1.0 - p.rho_v / p.rho_L) ** 2 * p.rho_L * _pow_or_inf(r_c, 3)
-    k = HBAR**2 / (2.0 * m0 * r_c2)
+    k_den = 2.0 * m0 * r_c2
+    k = HBAR**2 / k_den if k_den > 0 else 0.0
     lam = PLANCK_H / math.sqrt(2.0 * math.pi * HELIUM4_MASS * K_B * p.T)
     d = DerivedParams(
         R_c=r_c,
@@ -140,6 +141,8 @@ def derived_params(p: PhysicalParams) -> DerivedParams:
     for f in fields(d):
         if not math.isfinite(getattr(d, f.name)):
             raise PhysicsError(f"{f.name} out of float range")
+    if k == 0:  # 2 M0 R_c^2 underflowed to 0, or overflowed and k underflowed
+        raise PhysicsError("k out of float range")
     return d
 
 

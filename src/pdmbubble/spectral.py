@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .algebra import DiffOp, DomainError
 
@@ -116,6 +115,9 @@ def eigenvalues(matrix: SymTriMatrix, count: int,
     """The `count` smallest eigenvalues, by Sturm-sequence bisection."""
     if not 1 <= count <= matrix.size:
         raise ValueError("count must satisfy 1 <= count <= N")
+    # scipy is imported here, not at module level: only this function needs it
+    from scipy.linalg import eigvalsh_tridiagonal
+
     vals = eigvalsh_tridiagonal(
         matrix.diagonal,
         matrix.off_diagonal,

@@ -1,8 +1,10 @@
 import math
 import random
 from fractions import Fraction as F
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdmbubble.algebra import (
     Coeff,
@@ -251,3 +253,155 @@ def test_diffop_json_roundtrip():
     for _ in range(10):
         op = rand_op(rng)
         assert diffop_from_jsonable(op.to_jsonable()) == op
+
+
+# -- the fast paths against the general formulas --------------------------------
+#
+# Coeff, PolyX and DiffOp.compose take shortcuts for rational and real
+# coefficients and merge by exponent; each is checked here against the general
+# Q(sqrt2, i) formula or canonical form, written out on tuples of Fractions.
+
+fractions = st.fractions(min_value=-8, max_value=8, max_denominator=6)
+# each of b, c, d is zero or not on its own, so rational, real and complex
+# operands, and every mix of them, are drawn
+parts = st.tuples(fractions, *[st.one_of(st.just(F(0)), fractions)] * 3)
+
+
+def ref_add(x, y):
+    return tuple(u + v for u, v in zip(x, y))
+
+
+def ref_neg(x):
+    return tuple(-u for u in x)
+
+
+def ref_mul(x, y):
+    """(a1 + b1 r + i(c1 + d1 r))(a2 + b2 r + i(c2 + d2 r)) with r = sqrt2."""
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    return (
+        a1 * a2 + 2 * b1 * b2 - c1 * c2 - 2 * d1 * d2,
+        a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
+        a1 * c2 + 2 * b1 * d2 + c1 * a2 + 2 * d1 * b2,
+        a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2,
+    )
+
+
+def ref_inv(y):
+    """conj(y) / |y|^2, with |y|^2 = p + q sqrt2 and 1/(p + q sqrt2) =
+    (p - q sqrt2) / (p^2 - 2 q^2)."""
+    a, b, c, d = y
+    p = a * a + 2 * b * b + c * c + 2 * d * d
+    q = 2 * a * b + 2 * c * d
+    n = p * p - 2 * q * q
+    return ref_mul((a, b, -c, -d), (p / n, -q / n, F(0), F(0)))
+
+
+def parts_of(x: Coeff):
+    return (x.a, x.b, x.c, x.d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts, parts)
+def test_coeff_arithmetic_matches_general_formula(x, y):
+    cx, cy = Coeff(*x), Coeff(*y)
+    assert parts_of(cx + cy) == ref_add(x, y)
+    assert parts_of(cx - cy) == ref_add(x, ref_neg(y))
+    assert parts_of(cx * cy) == ref_mul(x, y)
+    assert parts_of(-cx) == ref_neg(x)
+    if any(y):
+        assert parts_of(cx / cy) == ref_mul(x, ref_inv(y))
+    for result in (cx + cy, cx - cy, cx * cy):
+        assert all(type(u) is F for u in parts_of(result))
+
+
+@settings(max_examples=100, deadline=None)
+@given(parts, fractions)
+def test_coeff_mixed_with_rationals_matches_general_formula(x, q):
+    cx, rq = Coeff(*x), (q, F(0), F(0), F(0))
+    assert parts_of(cx + q) == parts_of(q + cx) == ref_add(x, rq)
+    assert parts_of(cx * q) == parts_of(q * cx) == ref_mul(x, rq)
+    assert parts_of(q - cx) == ref_add(rq, ref_neg(x))
+    if q:
+        assert parts_of(cx / q) == ref_mul(x, ref_inv(rq))
+    if q.denominator == 1:
+        assert parts_of(cx * int(q)) == ref_mul(x, rq)
+
+
+@settings(max_examples=150, deadline=None)
+@given(parts, parts)
+def test_coeff_equality_and_hash_match_components(x, y):
+    cx, cy = Coeff(*x), Coeff(*y)
+    assert (cx == cy) == (x == y)
+    assert cx * cy == Coeff(*ref_mul(x, y))
+    assert hash(cx * cy) == hash(Coeff(*ref_mul(x, y))) == hash(ref_mul(x, y))
+    assert hash(cx + cy) == hash(ref_add(x, y))
+    if not any(x[1:]):
+        assert cx == x[0] and cx != x[0] + 1
+
+
+exponents = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+poly_terms = st.lists(st.tuples(parts.map(lambda x: Coeff(*x)), exponents),
+                      max_size=6)
+
+
+def ref_canonical(terms):
+    """Sum coefficients by exponent value, drop zeros, sort by exponent."""
+    merged = {}
+    for c, e in terms:
+        merged[F(e)] = ref_add(merged.get(F(e), (F(0),) * 4), parts_of(c))
+    return tuple((merged[e], e) for e in sorted(merged) if any(merged[e]))
+
+
+def canonical(poly: PolyX):
+    return tuple((parts_of(c), e) for c, e in poly.terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly_terms, st.randoms(use_true_random=False))
+def test_polyx_canonical_form(terms, rng):
+    poly = PolyX(terms)
+    assert canonical(poly) == ref_canonical(terms)
+    assert all(type(e) is F for _, e in poly.terms)
+    shuffled = list(terms)
+    rng.shuffle(shuffled)
+    assert PolyX(shuffled) == poly
+    assert PolyX(terms + terms) == poly.scale(2)
+    assert PolyX(terms + [(-c, e) for c, e in terms]).is_zero()
+
+
+@settings(max_examples=50, deadline=None)
+@given(parts, parts)
+def test_polyx_int_and_fraction_exponents_merge(x, y):
+    cx, cy = Coeff(*x), Coeff(*y)
+    assert PolyX([(cx, 1)]) == PolyX([(cx, F(2, 2))])
+    merged = PolyX([(cx, 1), (cy, F(2, 2)), (cx, 0), (-cx, F(0))])
+    assert canonical(merged) == ref_canonical([(cx + cy, F(1))])
+    assert PolyX([(cx, 1), (-cx, F(2, 2))]).is_zero()
+
+
+def leibniz_reference(left: DiffOp, right: DiffOp) -> DiffOp:
+    """left o right one term pair at a time:
+    (f D^m)(g D^n) = f * sum_j C(m, j) g^(j) D^(m + n - j)."""
+    total = DiffOp.zero()
+    for f, m in left.terms:
+        for g, n in right.terms:
+            gj = g
+            for j in range(m + 1):
+                total = total + DiffOp([(f * gj.scale(comb(m, j)), m + n - j)])
+                gj = gj.derivative()
+    return total
+
+
+diffops = st.lists(
+    st.tuples(st.lists(st.tuples(parts.map(lambda x: Coeff(*x)), exponents),
+                       min_size=1, max_size=3).map(PolyX),
+              st.integers(min_value=0, max_value=3)),
+    max_size=3,
+).map(DiffOp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(diffops, diffops)
+def test_compose_matches_per_term_leibniz(left, right):
+    assert left.compose(right) == leibniz_reference(left, right)

@@ -94,6 +94,29 @@ class TestParams:
             code, out, err = invoke(*argv)
         assert (code, out, err) == (2, "", "error: domain: U0 out of float range\n")
 
+    @pytest.mark.parametrize("command", ["params", "spectrum", "scan"])
+    @pytest.mark.parametrize("sigma", ["1e100", "1e-100"])
+    def test_k_out_of_float_range_is_one_domain_error(self, tmp_path, command, sigma):
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text(f"sigma = {sigma}\nP_v = 1\nrho_L = 1\nT = 4\nP = 0\n")
+        argv = [command, "--config", str(cfg)]
+        if command == "spectrum":
+            argv.append("--a=-1/3")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(*argv)
+        assert (code, out, err) == (2, "", "error: domain: k out of float range\n")
+
+    def test_sqrt_u0_m0_out_of_float_range_is_one_domain_error(self, tmp_path):
+        # every derived scale is finite, but U0 * M0 overflows
+        cfg = tmp_path / "heavy.cfg"
+        cfg.write_text("sigma = 1e150\nP_v = 2e150\nrho_L = 1e200\nT = 4\nP = 0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke("params", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == "error: domain: sqrt_U0_M0 out of float range\n"
+
     def test_non_finite_pressure_ratio_is_domain_error(self):
         code, out, err = invoke("params", "--pressure-ratio", "nan")
         assert (code, out) == (2, "")
@@ -446,13 +469,37 @@ class TestScan:
         ],
     )
     def test_v_sys_out_of_float_range_is_one_domain_error(self, tmp_path, argv, z):
+        # U0 as at rho_L = 1, where k underflows; a light liquid keeps k finite
         cfg = tmp_path / "huge.cfg"
-        cfg.write_text("sigma = 1e100\nP_v = 1\nrho_L = 1\nT = 4\nP = 0\n")
+        cfg.write_text("sigma = 1e100\nP_v = 1\nrho_L = 1e-300\nT = 4\nP = 0\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = invoke(*argv, "--zmin", "1", "--config", str(cfg))
         assert (code, out) == (2, "")
         assert err == f"error: domain: v_sys out of float range at z = {z}\n"
+
+    @pytest.mark.parametrize(
+        "argv, column",
+        [
+            (("scan", "--zmax", "1e5", "--points", "3", "--pressures", "0"),
+             "V_sys_eV"),
+            (("spectrum", "--a=-1/3", "--zmax", "1e5", "--points", "10"),
+             "eigenvalue_eV"),
+            # the first table is finite in eV; the 0.9 table is refused before it
+            (("scan", "--zmax", "1e3", "--points", "3", "--pressures", "0,0.9"),
+             "V_sys_eV"),
+        ],
+    )
+    def test_ev_column_out_of_float_range_is_one_domain_error(
+            self, tmp_path, argv, column):
+        # V_sys is finite in joules (below 1.8e308 J) but not in eV
+        cfg = tmp_path / "ev.cfg"
+        cfg.write_text("sigma = 1e284\nP_v = 2e284\nrho_L = 1\nT = 4\nP = 0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(*argv, "--zmin", "1", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == f"error: domain: {column} out of float range\n"
 
     def test_pressure_ratio_is_not_a_scan_option(self):
         code, out, err = invoke("scan", "--pressure-ratio", "0.5", "--points", "3")

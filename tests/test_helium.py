@@ -140,6 +140,17 @@ class TestDerivedParams:
         with pytest.raises(PhysicsError, match=f"^{name} out of float range$"):
             derived_params(p)
 
+    @pytest.mark.parametrize(
+        "sigma",
+        [1e100,    # 2 M0 R_c^2 overflows, so k underflows to 0
+         1e-100,   # 2 M0 R_c^2 underflows to 0
+         1e-110],  # M0 itself underflows to 0
+    )
+    def test_k_out_of_float_range_is_physics_error(self, sigma):
+        p = PhysicalParams(sigma=sigma, P_v=1.0, rho_L=1.0, T=4.0)
+        with pytest.raises(PhysicsError, match="^k out of float range$"):
+            derived_params(p)
+
     def test_radius_increases_with_pressure(self):
         radii = [
             derived_params(DEFAULT_HE4.with_pressure(r * DEFAULT_HE4.P_v)).R_c
