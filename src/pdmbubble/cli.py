@@ -29,7 +29,6 @@ from .helium import (
     PhysicsError,
     barrier_info,
     derived_params,
-    effective_hamiltonian_z,
     parse_params,
     potential_profile,
 )
@@ -69,8 +68,8 @@ DOMAIN_ERRORS = (
 #: the potential columns are all held in memory.
 MAX_POINTS = 10**6
 
-#: Rows of a scan table formatted per write: the text held in memory stays
-#: bounded whatever --points is.
+#: Rows of a spectrum or scan table formatted per write: the text held in
+#: memory stays bounded whatever --points or --count is.
 SCAN_CHUNK = 4096
 
 #: Every printed float: 12 significant digits, scientific notation.
@@ -112,6 +111,20 @@ def _require_finite(**columns) -> None:
     for name, column in columns.items():
         if not np.isfinite(column).all():
             raise PhysicsError(f"{name} out of float range")
+
+
+def _ev(column_J: np.ndarray) -> np.ndarray:
+    """A column in joules, in eV; a value beyond the float range becomes inf
+    silently, for _require_finite to refuse."""
+    with np.errstate(over="ignore"):
+        return column_J / EV
+
+
+def _write_rows(out, template: str, columns) -> None:
+    """A line template % row per row of the columns, SCAN_CHUNK per write."""
+    for start in range(0, len(columns[0]), SCAN_CHUNK):
+        chunk = [c[start:start + SCAN_CHUNK].tolist() for c in columns]
+        out.write("".join([template % row for row in zip(*chunk)]))
 
 
 def _emit_json(data, out) -> None:
@@ -243,24 +256,18 @@ def _cmd_match(args, out) -> int:
 
 def _cmd_spectrum(args, out) -> int:
     _check_points(args.points)
-    params = _load_params(args)
-    d = derived_params(params)
-    eff = effective_hamiltonian_z(OrderingParam(args.a), d, args.source)
+    d = derived_params(_load_params(args))
     grid = Grid(args.zmin, args.zmax, args.points)
-    # Both columns come before the stencil, so v_a's z**2 check fires before
+    # The columns come before the stencil, so v_a's z**2 check fires before
     # h**2 (h < the largest z) can overflow; the diagonal is (2k/h^2 + V_a) + V_sys.
-    # V_sys first: a z <= 0 is reported by v_sys.
-    z = grid.interior
-    v_sys = eff.v_sys(z)
-    v_a = eff.v_a(z)
-    matrix = stencil(-eff.kinetic_prefactor, grid, v_a, v_sys)
-    result = eigenvalues(matrix, args.count, grid)
-    levels = np.array(result.eigenvalues)
-    with np.errstate(over="ignore"):
-        _require_finite(eigenvalue_J=levels, eigenvalue_eV=levels / EV)
+    profile = potential_profile(args.a, d, grid.interior, args.source)
+    matrix = stencil(-d.k, grid, profile.V_a_J, profile.V_sys_J)
+    levels = np.array(eigenvalues(matrix, args.count, grid).eigenvalues)
+    levels_eV = _ev(levels)
+    _require_finite(eigenvalue_J=levels, eigenvalue_eV=levels_eV)
     out.write("index,eigenvalue_J,eigenvalue_eV\n")
-    for i, ev in enumerate(result.eigenvalues):
-        out.write(f"{i},{_fmt(ev)},{_fmt(ev / EV)}\n")
+    _write_rows(out, f"%d,{_NUMBER},{_NUMBER}\n",
+                (np.arange(len(levels)), levels, levels_eV))
     return 0
 
 
@@ -271,10 +278,10 @@ def _cmd_scan(args, out) -> int:
     check_range(args.zmin, args.zmax)
     base = _load_params(args)
     ratios = sorted(float(r) for r in args.pressures.split(","))
-    zs = [
-        args.zmin + i * (args.zmax - args.zmin) / (args.points - 1)
-        for i in range(args.points)
-    ]
+    # the same float operations, in the same order, as
+    # zmin + i * (zmax - zmin) / (points - 1) on Python floats
+    zs = args.zmin + np.arange(args.points) * (args.zmax - args.zmin) / (
+        args.points - 1)
     # every ratio is validated before the first line is written
     states = [
         (ratio, derived_params(base.with_pressure(ratio * base.P_v)))
@@ -283,8 +290,8 @@ def _cmd_scan(args, out) -> int:
 
     def table(d):
         profile = potential_profile(args.a, d, zs, args.source)
-        columns = (profile.z, profile.V_a_eV, profile.V_sys_eV,
-                   profile.V_total_eV)
+        columns = (profile.z, _ev(profile.V_a_J), _ev(profile.V_sys_J),
+                   _ev(profile.V_total_J))
         _require_finite(V_a_eV=columns[1], V_sys_eV=columns[2],
                         V_total_eV=columns[3])
         return columns
@@ -298,10 +305,7 @@ def _cmd_scan(args, out) -> int:
     for i, (ratio, d) in enumerate(states):
         if i:
             columns = table(d)
-        row = ",".join([_fmt(ratio)] + [_NUMBER] * 4) + "\n"
-        for start in range(0, len(zs), SCAN_CHUNK):
-            chunk = [c[start:start + SCAN_CHUNK].tolist() for c in columns]
-            out.write("".join([row % values for values in zip(*chunk)]))
+        _write_rows(out, ",".join([_fmt(ratio)] + [_NUMBER] * 4) + "\n", columns)
         del columns  # one table in memory at a time
     return 0
 

@@ -3,8 +3,10 @@
 Inputs are SI, given in code or read from a key=value parameter file by
 ``parse_params``; derived quantities include the critical radius, the barrier
 and mass scales, the kinetic prefactor of the effective z-space Hamiltonian,
-and thermal quantities.  The effective z-space Hamiltonian in joules, with
-its potentials V_a and V_sys, is defined here as well.
+and thermal quantities.  The effective z-space Hamiltonian, with its
+potentials V_a and V_sys, is defined here as well; ``potential_profile``
+tabulates both on a z grid for ``spectrum`` and ``scan``.  Everything here is
+in joules: the eV columns and the row formatting belong to ``cli``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from itertools import repeat
 import numpy as np
 
 from .algebra import OrderingParam
-from .susy import inverse_square_coefficient, normalize_source
+from .susy import inverse_square_coefficient
 
 # Pinned constants (SI).
 PLANCK_H = 6.62607015e-34       # J s
@@ -173,8 +175,6 @@ class EffectiveHamiltonianZ:
     c_a: Fraction
     U0: float                 # J
     c0: float                 # J
-    a: Fraction
-    source: str
 
     @_float_errors
     def v_a(self, zs) -> np.ndarray:
@@ -232,34 +232,17 @@ def effective_hamiltonian_z(
         c_a=inverse_square_coefficient(ord.a, source),
         U0=params.U0,
         c0=c0,
-        a=ord.a,
-        source=normalize_source(source),
     )
 
 
 @dataclass(frozen=True)
 class PotentialProfile:
-    """V_a, V_sys and their sum on a z grid, as float64 columns."""
+    """V_a, V_sys and their sum (J) on a z grid, as float64 columns."""
 
     z: np.ndarray
     V_a_J: np.ndarray
     V_sys_J: np.ndarray
     V_total_J: np.ndarray
-
-    @property
-    @_float_errors
-    def V_a_eV(self) -> np.ndarray:
-        return self.V_a_J / EV
-
-    @property
-    @_float_errors
-    def V_sys_eV(self) -> np.ndarray:
-        return self.V_sys_J / EV
-
-    @property
-    @_float_errors
-    def V_total_eV(self) -> np.ndarray:
-        return self.V_total_J / EV
 
 
 @_float_errors

@@ -7,6 +7,7 @@ import warnings
 from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pdmbubble
@@ -346,6 +347,17 @@ class TestSpectrum:
         expected = eigenvalues(exact, 3).eigenvalues
         assert printed == pytest.approx(expected, rel=1e-10, abs=0)
 
+    def test_unconverged_solve_names_the_grid(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke("spectrum", "--a=-1/3", "--zmin", "0",
+                                    "--zmax", "1e-100", "--points", "10")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: domain: eigenvalues did not converge on the grid over "
+            "[0, 1e-100] with h = 9.09091e-102\n"
+        )
+
     @pytest.mark.parametrize("command", [("spectrum", "--a=-1/3"), ("scan",)])
     def test_points_above_cap_is_domain_error(self, command):
         code, out, err = invoke(*command, "--points", str(MAX_POINTS + 1))
@@ -369,6 +381,47 @@ def scalar_scan(a, source, zmin, zmax, points, ratios):
                 f"{(va + vs) / EV:.11e}\n"
             )
     return "".join(lines)
+
+
+def scalar_spectrum(a, source, zmin, zmax, points, count):
+    """spectrum's stdout built one row at a time, as the table was first
+    written: the stencil's entries in Python floats in the scalar order,
+    (2k/h**2 + (k c_a)/z**2) + U0 z**0.8 (1 - z**0.4), and one f-string per
+    row."""
+    d = derived_params(DEFAULT_HE4)
+    k_c_a = d.k * float(inverse_square_coefficient(a, source))
+    h = (zmax - zmin) / (points + 1)
+    h2 = h**2
+    zs = [zmin + h * i for i in range(1, points + 1)]
+    diag = [(-2.0 * -d.k / h2 + k_c_a / z**2) + d.U0 * z**0.8 * (1.0 - z**0.4)
+            for z in zs]
+    matrix = SymTriMatrix(np.array(diag), np.full(points - 1, -d.k / h2))
+    lines = ["index,eigenvalue_J,eigenvalue_eV\n"]
+    for i, ev in enumerate(eigenvalues(matrix, count).eigenvalues):
+        lines.append(f"{i},{ev:.11e},{ev / EV:.11e}\n")
+    return "".join(lines)
+
+
+class TestSpectrumRows:
+    @pytest.mark.parametrize("box", [(0.05, 3.0), (1e-6, 0.02)])
+    @pytest.mark.parametrize("a", [F(-1, 3), F(1, 6)])
+    @pytest.mark.parametrize("source", ["expanded", "paper"])
+    def test_stdout_matches_per_row_formatting(self, box, a, source):
+        zmin, zmax = box
+        code, out, err = invoke(
+            "spectrum", f"--a={a}", "--source", source, "--zmin", str(zmin),
+            "--zmax", str(zmax), "--points", "2000", "--count", "60",
+        )
+        assert code == 0, err
+        assert out == scalar_spectrum(a, source, zmin, zmax, 2000, 60)
+
+    def test_rows_spanning_several_chunks(self, monkeypatch):
+        monkeypatch.setattr(cli, "SCAN_CHUNK", 7)
+        code, out, err = invoke(
+            "spectrum", "--a=-1/3", "--points", "300", "--count", "20",
+        )
+        assert code == 0, err
+        assert out == scalar_spectrum(F(-1, 3), "expanded", 0.05, 3.0, 300, 20)
 
 
 class TestScan:
@@ -445,7 +498,8 @@ class TestScan:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (("spectrum", "--a=-1/3", "--zmin", "-1"), "v_sys requires z > 0"),
+            (("spectrum", "--a=-1/3", "--zmin", "-1"),
+             "inverse-square potential requires z > 0"),
             (("scan", "--zmin", "0"), "inverse-square potential requires z > 0"),
             (("scan", "--zmin", "-5", "--zmax", "1e200", "--points", "3"),
              "inverse-square potential requires z > 0"),

@@ -25,9 +25,7 @@ from pdmbubble.algebra import OrderingParam
 
 
 def hamiltonian(U0=1.0, c0=0.0, k=1.0, c_a=F(-9, 100)) -> EffectiveHamiltonianZ:
-    return EffectiveHamiltonianZ(
-        kinetic_prefactor=k, c_a=c_a, U0=U0, c0=c0, a=F(-1, 6), source="paper"
-    )
+    return EffectiveHamiltonianZ(kinetic_prefactor=k, c_a=c_a, U0=U0, c0=c0)
 
 
 class TestPhysicalParams:
@@ -206,7 +204,6 @@ class TestProfile:
         p = potential_profile(F(-1, 6), d, [0.5, 1.0], "paper")
         assert p.z.tolist() == [0.5, 1.0]
         assert p.V_total_J.tolist() == (p.V_a_J + p.V_sys_J).tolist()
-        assert p.V_total_eV.tolist() == (p.V_total_J / EV).tolist()
 
     def test_negative_divergence_near_origin(self):
         d = derived_params(DEFAULT_HE4.with_pressure(0.8 * DEFAULT_HE4.P_v))
@@ -264,9 +261,6 @@ class TestColumns:
         p = potential_profile(a, d, zs, source, c0)
         assert p.z.tolist() == zs
         assert p.V_total_J.tolist() == [x + y for x, y in zip(v_a, v_sys)]
-        assert p.V_a_eV.tolist() == [x / EV for x in v_a]
-        assert p.V_sys_eV.tolist() == [y / EV for y in v_sys]
-        assert p.V_total_eV.tolist() == [(x + y) / EV for x, y in zip(v_a, v_sys)]
 
     @pytest.mark.parametrize(
         "zs, message",
