@@ -279,9 +279,11 @@ def _cmd_scan(args, out) -> int:
     base = _load_params(args)
     ratios = sorted(float(r) for r in args.pressures.split(","))
     # the same float operations, in the same order, as
-    # zmin + i * (zmax - zmin) / (points - 1) on Python floats
-    zs = args.zmin + np.arange(args.points) * (args.zmax - args.zmin) / (
-        args.points - 1)
+    # zmin + i * (zmax - zmin) / (points - 1) on Python floats, and as silent
+    # where they overflow or make nan: the z checks below refuse the grid
+    with np.errstate(over="ignore", invalid="ignore"):
+        zs = args.zmin + np.arange(args.points) * (args.zmax - args.zmin) / (
+            args.points - 1)
     # every ratio is validated before the first line is written
     states = [
         (ratio, derived_params(base.with_pressure(ratio * base.P_v)))

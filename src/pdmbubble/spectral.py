@@ -118,20 +118,20 @@ def eigenvalues(matrix: SymTriMatrix, count: int,
     # scipy is imported here, not at module level: only this function needs it
     from scipy.linalg import eigvalsh_tridiagonal
 
-    if grid is None:
-        grid = Grid(0.0, 1.0, matrix.size)
     try:
         vals = eigvalsh_tridiagonal(
             matrix.diagonal, matrix.off_diagonal, select="i",
             select_range=(0, count - 1), lapack_driver="stebz",
         )
     except np.linalg.LinAlgError:  # bisection fails on too wide a range
-        raise ValueError(
-            f"eigenvalues did not converge on the grid over "
-            f"[{grid.z_min:g}, {grid.z_max:g}] with h = {grid.h:g}"
-        ) from None
+        where = "" if grid is None else (
+            f" on the grid over [{grid.z_min:g}, {grid.z_max:g}]"
+            f" with h = {grid.h:g}"
+        )
+        raise ValueError(f"eigenvalues did not converge{where}") from None
     return SpectralResult(
-        eigenvalues=tuple(sorted(float(v) for v in vals)), grid=grid
+        eigenvalues=tuple(sorted(float(v) for v in vals)),
+        grid=grid if grid is not None else Grid(0.0, 1.0, matrix.size),
     )
 
 

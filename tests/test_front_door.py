@@ -7,7 +7,7 @@ import re
 import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pdmbubble.cli import run
 
@@ -27,7 +27,7 @@ RATIONALS = st.sampled_from(
 # A valid value half the time, so that the checks behind the first are reached.
 FLOATS = st.sampled_from(["1e-8", "1e-6", "0.02", "0.05", "0.5", "1", "3", "1e5"]) | (
     st.sampled_from(["0", "-0", "inf", "-inf", "nan", "1e300", "-1e300",
-                     "1e-300", "-1e-300", "-1", "oops"])
+                     "1e308", "-1e308", "1e-300", "-1e-300", "-1", "oops"])
 )
 RATIOS = st.sampled_from(["0", "0.5", "0.8", "0.95"]) | st.sampled_from(
     ["1", "1.2", "-1", "nan", "inf", "1e300", "x"]
@@ -91,6 +91,9 @@ NOT_A_NUMBER = re.compile(r"\b(inf|infinity|nan)\b", re.IGNORECASE)
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(argv=argvs())
+# a span of inf or an i * span beyond the float range, which numpy would warn on
+@example(argv=["scan", "--zmin=-1e308", "--zmax=1e308", "--points=3"])
+@example(argv=["scan", "--zmax=1e308"])
 def test_every_exit_is_clean(config_dir, argv):
     argv = [
         f"--config={config_dir / item.partition('=')[2]}"

@@ -8,6 +8,7 @@ from pdmbubble.algebra import DiffOp, OrderingParam, PolyX, PowerLawMass
 from pdmbubble.spectral import (
     AssembleError,
     Grid,
+    SymTriMatrix,
     assemble,
     compare_spectra,
     eigenvalues,
@@ -97,6 +98,13 @@ class TestEigenvalues:
             eigenvalues(m, 0)
         with pytest.raises(ValueError):
             eigenvalues(m, 11)
+
+    def test_unconverged_solve_names_only_a_given_grid(self):
+        m = SymTriMatrix(np.array([1e300, -1e300, 1e300]), np.array([1e300, 1e300]))
+        with pytest.raises(ValueError, match=r"^eigenvalues did not converge$"):
+            eigenvalues(m, 2)
+        with pytest.raises(ValueError, match=r"over \[0, 1e-100\] with h = 2\.5e-101$"):
+            eigenvalues(m, 2, Grid(0.0, 1e-100, 3))
 
     def test_grid_refinement_is_second_order(self):
         errors = []

@@ -104,6 +104,8 @@ def error_set() -> list[list[str]]:
         ["scan", "--zmin", "1e-170", "--zmax", "1e200", "--points", "3"],
         ["scan", "--zmax", "1e200", "--points", "3"],
         ["scan", "--zmin", "1e-200", "--points", "3"],
+        ["scan", "--zmin=-1e308", "--zmax", "1e308", "--points", "3"],
+        ["scan", "--zmax", "1e305", "--points", "2000"],
         ["scan", "--zmin", "1", "--zmax", "1", "--points", "3"],
         ["scan", "--zmin", "3", "--zmax", "0.05"],
         ["scan", "--points", "1"],
@@ -179,7 +181,12 @@ def extract_src(rev: str, into: Path) -> Path:
         capture_output=True, check=True,
     ).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(into, filter="data")
+        # the "data" filter exists from Python 3.12 and in 3.10.12/3.11.4
+        # backports; without it, extract as-is, as the archive is local
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(into, filter="data")
+        else:
+            tar.extractall(into)
     return into / "src"
 
 
