@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt, sqrt
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence, Union
+from typing import Iterable, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -540,29 +540,6 @@ def expand_sandwich(mass: PowerLawMass, ord: OrderingParam) -> DiffOp:
     return (
         m_out.compose(d).compose(m_in).compose(d).compose(m_out).scale(Fraction(-1, 2))
     )
-
-
-def diffop_apply_numeric(
-    op: DiffOp,
-    x_points: Sequence[float],
-    phi_derivs: Sequence[Callable[[float], float]],
-) -> list[complex]:
-    """Evaluate (op phi)(x) at the given points.
-
-    phi_derivs[k] must return the k-th derivative of the test function.
-    Raises DomainError at coefficient singularities.
-    """
-    if op.order >= len(phi_derivs):
-        raise ValueError(
-            f"need derivatives up to order {op.order}, got {len(phi_derivs) - 1}"
-        )
-    out = []
-    for x in x_points:
-        total = 0j
-        for poly, k in op.terms:
-            total += poly.eval(x) * phi_derivs[k](x)
-        out.append(total)
-    return out
 
 
 def rational_sqrt(value: Fraction) -> Fraction | None:

@@ -167,9 +167,44 @@ _float_errors = np.errstate(over="ignore", invalid="ignore")
 
 
 @dataclass(frozen=True)
+class ZPowers:
+    """A column of z with the powers the potentials take of it, z**2, z**0.8
+    and z**0.4, each by Python's float pow; one instance serves every table
+    on the same z.  The fractional powers are None unless every z is in
+    (0, inf): v_sys refuses such a column before it would read them."""
+
+    z: np.ndarray
+    z2: np.ndarray  # inf where Python's float pow overflows
+    p08: np.ndarray | None
+    p04: np.ndarray | None
+
+    def __len__(self) -> int:
+        return len(self.z)
+
+
+def z_powers(zs) -> ZPowers:
+    """z**2, z**0.8 and z**0.4 on a column of z (see ZPowers)."""
+    z = np.asarray(zs, dtype=float)
+    z_list = z.tolist()
+    try:
+        z2 = _powers(z_list, 2)
+    except OverflowError:  # Python's float pow raises where it overflows
+        z2 = _powers(z_list, 2, _pow_or_inf)
+    if ((0 < z) & (z < math.inf)).all():
+        return ZPowers(z, z2, _powers(z_list, 0.8), _powers(z_list, 0.4))
+    return ZPowers(z, z2, None, None)
+
+
+def _powers_of(zs) -> ZPowers:
+    """zs itself if it is a ZPowers, else the ZPowers of the column zs."""
+    return zs if isinstance(zs, ZPowers) else z_powers(zs)
+
+
+@dataclass(frozen=True)
 class EffectiveHamiltonianZ:
     """Constant-mass Hamiltonian in z: -k d^2/dz^2 + k c_a / z^2 + V_sys(z),
-    with V_sys = U0 z^{4/5} (1 - z^{2/5}) + c0."""
+    with V_sys = U0 z^{4/5} (1 - z^{2/5}) + c0.  The potentials take a column
+    of z, or its ZPowers."""
 
     kinetic_prefactor: float  # k = hbar^2 / (2 M0 R_c^2), J
     c_a: Fraction
@@ -181,15 +216,11 @@ class EffectiveHamiltonianZ:
         """Ordering-dependent inverse-square potential k c_a / z^2 (J) on a
         column of z.  The first z in order that is not in (0, inf), or whose
         z**2 leaves the float range, raises."""
-        z = np.asarray(zs, dtype=float)
-        z_list = z.tolist()
-        try:
-            z2 = _powers(z_list, 2)
-        except OverflowError:  # Python's float pow raises where it overflows
-            z2 = _powers(z_list, 2, _pow_or_inf)
+        p = _powers_of(zs)
+        z, z2 = p.z, p.z2
         ok = (0 < z) & (z < math.inf) & (0 < z2) & (z2 < math.inf)
         if not ok.all():
-            x = z_list[int(np.argmin(ok))]
+            x = float(z[np.argmin(ok)])
             if not 0 < x < math.inf:
                 raise PhysicsError(_bad_z("inverse-square potential", x))
             raise PhysicsError(
@@ -208,16 +239,15 @@ class EffectiveHamiltonianZ:
         """System potential U0 z^{4/5} (1 - z^{2/5}) + c0 (J) on a column of
         z.  The first z in order that is not in (0, inf), or where V_sys is
         not finite, raises."""
-        z = np.asarray(zs, dtype=float)
-        z_list = z.tolist()
+        p = _powers_of(zs)
+        z = p.z
         ok = (0 < z) & (z < math.inf)
         if not ok.all():
-            raise PhysicsError(_bad_z("v_sys", z_list[int(np.argmin(ok))]))
-        p08, p04 = _powers(z_list, 0.8), _powers(z_list, 0.4)
-        v = self.U0 * p08 * (1.0 - p04) + self.c0
+            raise PhysicsError(_bad_z("v_sys", float(z[np.argmin(ok)])))
+        v = self.U0 * p.p08 * (1.0 - p.p04) + self.c0
         ok = np.isfinite(v)
         if not ok.all():
-            x = z_list[int(np.argmin(ok))]
+            x = float(z[np.argmin(ok)])
             raise PhysicsError(f"v_sys out of float range at z = {x:g}")
         return v
 
@@ -248,13 +278,15 @@ class PotentialProfile:
 @_float_errors
 def potential_profile(a, dp: DerivedParams, z_grid, source: str,
                       c0: float = 0.0) -> PotentialProfile:
-    """Tabulate V_a, V_sys and their sum over a z grid (z > 0 throughout).
-    V_a is checked first, so a bad z is reported by the inverse-square term."""
+    """Tabulate V_a, V_sys and their sum over a z grid (z > 0 throughout),
+    given as a column of z or as its ZPowers, which tables on the same grid
+    can share.  V_a is checked first, so a bad z is reported by the
+    inverse-square term."""
     eff = effective_hamiltonian_z(OrderingParam(a), dp, source, c0)
-    z = np.asarray(z_grid, dtype=float)
-    v_a = eff.v_a(z)
-    v_sys = eff.v_sys(z)
-    return PotentialProfile(z=z, V_a_J=v_a, V_sys_J=v_sys, V_total_J=v_a + v_sys)
+    p = _powers_of(z_grid)
+    v_a = eff.v_a(p)
+    v_sys = eff.v_sys(p)
+    return PotentialProfile(z=p.z, V_a_J=v_a, V_sys_J=v_sys, V_total_J=v_a + v_sys)
 
 
 def barrier_info(dp: DerivedParams, c0: float = 0.0) -> tuple[float, float]:

