@@ -42,6 +42,7 @@ from .pointmass import (
     transform_diffop,
     unit_measure_restore,
 )
+from .rows import NUMBER, format_rows
 from .spectral import Grid, check_range, eigenvalues, stencil
 from .susy import (
     commutator_check,
@@ -73,10 +74,6 @@ MAX_POINTS = 10**6
 #: memory stays bounded whatever --points or --count is.
 SCAN_CHUNK = 4096
 
-#: Every printed float: 12 significant digits, scientific notation.
-_NUMBER = "%.11e"
-
-
 class UsageError(Exception):
     pass
 
@@ -87,7 +84,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(x: float) -> str:
-    return _NUMBER % x
+    return NUMBER % x
 
 
 def _fraction(text: str) -> Fraction:
@@ -121,133 +118,12 @@ def _ev(column_J: np.ndarray) -> np.ndarray:
         return column_J / EV
 
 
-def _table(*columns) -> np.ndarray:
-    """One ASCII string per row of the byte columns, as a 1-d array of
-    fixed-size void items, for np.take-style gathers."""
-    rows = np.ascontiguousarray(np.column_stack(columns), np.uint8)
-    return rows.view(f"V{rows.shape[1]}").ravel()
-
-
-# The ASCII digits of 0..999, three bytes a row, and the tables a float cell
-# is gathered from (see _float_cells): "d.dd" for the first group of three
-# mantissa digits, "ddd" plus a spare byte for the other three, and the
-# exponent, indexed by e + 308, as "e+TU", or as "e+HTU" with a hundreds
-# digit of 0 as a 0 byte, which the writer drops.
-_DIGITS = (np.arange(1000)[:, None] // np.array([100, 10, 1]) % 10
-           + ord("0")).astype(np.uint8)
-_LEAD = _table(_DIGITS[:, 0], np.full(1000, ord(".")), _DIGITS[:, 1:])
-_GROUP = _table(_DIGITS, np.zeros(1000))
-_E = np.arange(-308, 309)
-_E_HEAD = np.column_stack([np.full(617, ord("e")),
-                           np.where(_E < 0, ord("-"), ord("+"))])
-_EXPONENT = {
-    4: _table(_E_HEAD, _DIGITS[abs(_E) % 100, 1:]),
-    5: _table(_E_HEAD, np.where(abs(_E) < 100, 0, _DIGITS[abs(_E), 0]),
-              _DIGITS[abs(_E), 1:]),
-}
-# 10**k correctly rounded, for the two factors that scale any normal double
-# to 12 integer digits: k = 11 - e over e in [-308, 308] is split in halves.
-_POW10_MIN = -160
-_POW10 = np.array([float(f"1e{k}") for k in range(_POW10_MIN, 161)])
-_TIE_MARGIN = 5e-3
-
-
-def _float_cells(x: np.ndarray) -> np.ndarray:
-    """``_NUMBER % v`` for each float v of x, as the rows of a uint8 array of
-    ASCII padded with 0 bytes.
-
-    For a normal |v| the decimal exponent is e = floor(log10|v|), and
-    s = (|v| * 10**k1) * 10**k2, with k1 + k2 = 11 - e, is |v| scaled to
-    t = |v| 10**(11 - e); the 12-digit mantissa is the nearest integer to s.
-    Each factor of ``_POW10`` and each product is correctly rounded, so
-    |s - t| <= ((1 + 2**-53)**4 - 1) t < 4.5e-4 for t < 1e12.  A value takes
-    the vectorized path only when s lies in [1e11 + M, 1e12 - 1/2 - M] and
-    |s - round(s)| < 1/2 - M, with M = ``_TIE_MARGIN`` = 5e-3, more than ten
-    times that bound.  Then t lies in [1e11, 1e12 - 1/2), so e is its
-    exponent (a log10 off by one puts s outside the interval), and no
-    half-way point separates s from t, so round(s) is the correctly rounded
-    mantissa that ``%.11e`` prints.  Every other value (a near-tie, an s
-    outside the interval, 0, a subnormal, inf or nan) is formatted by
-    ``_NUMBER % v`` into its own row.
-
-    A sign byte is there only if some v is negative, and a hundreds digit of
-    the exponent only if some |e| >= 100, so most rows carry no 0 byte.
-    """
-    n = len(x)
-    a = np.abs(x)
-    normal = (a >= sys.float_info.min) & (a < np.inf)
-    a = np.where(normal, a, 1.0)
-    e = np.floor(np.log10(a)).astype(np.intp)
-    k = 11 - e
-    k1 = k >> 1
-    s = a * _POW10[k1 - _POW10_MIN] * _POW10[k - k1 - _POW10_MIN]
-    q = np.rint(s)
-    exact = (normal & (np.abs(s - q) < 0.5 - _TIE_MARGIN)
-             & (s >= 1e11 + _TIE_MARGIN) & (s <= 1e12 - 0.5 - _TIE_MARGIN))
-    q = np.where(exact, q, 1e11).astype(np.int64)
-    q, g4 = np.divmod(q, 1000)
-    q, g3 = np.divmod(q, 1000)
-    g1, g2 = np.divmod(q, 1000)
-    slow = np.flatnonzero(~exact)
-    text = [(_NUMBER % v).encode("ascii") for v in x[slow].tolist()]
-    negative = np.signbit(x)
-    sign = int(negative.any())  # a sign byte, or none
-    exponent_width = 5 if (e.min() <= -100 or e.max() >= 100) else 4
-    # Each group after "d.dd" is copied as a 4-byte item whose spare byte the
-    # next field overwrites: numpy copies 4-byte items several times faster
-    # than 3-byte ones.
-    cell = np.dtype({
-        "names": ["lead", "g2", "g3", "g4", "exponent"],
-        "formats": ["V4"] * 4 + [f"V{exponent_width}"],
-        "offsets": [sign, sign + 4, sign + 7, sign + 10, sign + 13],
-        "itemsize": max([sign + 13 + exponent_width, *map(len, text)]),
-    })
-    cells = np.zeros(n, cell)
-    cells["lead"] = _LEAD[g1]
-    cells["g2"] = _GROUP[g2]
-    cells["g3"] = _GROUP[g3]
-    cells["g4"] = _GROUP[g4]
-    cells["exponent"] = _EXPONENT[exponent_width][e + 308]
-    cells = cells.view(np.uint8).reshape(n, -1)
-    if sign:
-        cells[:, 0] = negative * np.uint8(ord("-"))
-    if text:
-        width = cells.shape[1]
-        cells[slow] = np.array(text, f"S{width}").view(np.uint8).reshape(-1, width)
-    return cells
-
-
-def _int_cells(v: np.ndarray) -> np.ndarray:
-    """``"%d" % i`` for each non-negative integer i of v, as the rows of a
-    uint8 array of ASCII, each padded on the left with 0 bytes."""
-    groups = []
-    for _ in range((len(str(v.max())) + 2) // 3):
-        v, group = np.divmod(v, 1000)
-        groups.insert(0, group)
-    digits = np.take(_DIGITS, np.stack(groups, axis=1), axis=0)
-    digits = digits.reshape(len(groups[0]), -1)
-    leading = np.cumsum(digits != ord("0"), axis=1) == 0
-    leading[:, -1] = False  # 0 prints as "0"
-    digits[leading] = 0
-    return digits
-
-
 def _write_rows(out, columns, prefix: str = "") -> None:
-    """One CSV line per row of the columns, prefix first: an integer column
-    prints as ``%d``, a float column as ``_NUMBER`` (byte for byte), each
-    chunk of SCAN_CHUNK rows is formatted in numpy and written at once."""
-    lead = np.frombuffer(prefix.encode("ascii"), np.uint8)
+    """One CSV line per row of the columns, prefix first (see
+    ``rows.format_rows``), SCAN_CHUNK rows per write."""
     for start in range(0, len(columns[0]), SCAN_CHUNK):
-        chunk = [c[start:start + SCAN_CHUNK] for c in columns]
-        n = len(chunk[0])
-        comma = np.full((n, 1), ord(","), np.uint8)
-        parts = [np.broadcast_to(lead, (n, lead.size))]
-        for c in chunk:
-            parts += [_int_cells(c) if c.dtype.kind in "iu" else _float_cells(c),
-                      comma]
-        rows = np.concatenate(parts, axis=1)
-        rows[:, -1] = ord("\n")
-        out.write(rows.tobytes().replace(b"\0", b"").decode("ascii"))
+        out.write(format_rows([c[start:start + SCAN_CHUNK] for c in columns],
+                              prefix))
 
 
 def _emit_json(data, out) -> None:
