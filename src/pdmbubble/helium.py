@@ -6,7 +6,7 @@ and mass scales, the kinetic prefactor of the effective z-space Hamiltonian,
 and thermal quantities.  The effective z-space Hamiltonian, with its
 potentials V_a and V_sys, is defined here as well; ``potential_profile``
 tabulates both on a z grid for ``spectrum`` and ``scan``.  Everything here is
-in joules: the eV columns and the row formatting belong to ``cli``.
+in joules: the eV columns belong to ``cli`` and the row formatting to ``rows``.
 """
 
 from __future__ import annotations
@@ -178,7 +178,7 @@ class ZPowers:
     p08: np.ndarray | None
     p04: np.ndarray | None
 
-    def __len__(self) -> int:
+    def __len__(self) -> int:  # the number of points, as for a z column
         return len(self.z)
 
 

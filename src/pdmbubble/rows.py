@@ -107,8 +107,7 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     if sign:
         cells[:, 0] = negative * np.uint8(ord("-"))
     if text:
-        width = cells.shape[1]
-        cells[slow] = np.array(text, f"S{width}").view(np.uint8).reshape(-1, width)
+        cells[slow] = _ascii_rows(text, cells.shape[1])
     return cells
 
 
@@ -117,7 +116,12 @@ def _int_cells(v: np.ndarray) -> np.ndarray:
     ASCII padded with 0 bytes.  Only the short index column of ``spectrum``
     is an integer column, so each value is formatted by ``%`` itself."""
     text = [b"%d" % i for i in v.tolist()]
-    width = max(map(len, text))
+    return _ascii_rows(text, max(map(len, text)))
+
+
+def _ascii_rows(text: list[bytes], width: int) -> np.ndarray:
+    """The byte strings as the rows of an (n, width) uint8 array, each padded
+    with 0 bytes."""
     return np.array(text, f"S{width}").view(np.uint8).reshape(-1, width)
 
 
