@@ -8,6 +8,7 @@ deterministic: fixed 12-significant-digit scientific notation, LF endings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -314,7 +315,11 @@ def _cmd_scan(args, out) -> int:
 # ------------------------------------------------------------------ wiring
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one:
+    parse_args puts its results in a new namespace and leaves the parser as
+    it was."""
     parser = _Parser(prog="pdmbubble", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -381,9 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None, stdout=None, stderr=None) -> int:
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except UsageError as exc:
         err.write(f"error: usage: {exc}\n")
         return 1

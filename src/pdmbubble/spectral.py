@@ -3,13 +3,21 @@ and selective eigenvalue extraction.
 
 The assembled matrices are symmetric tridiagonal (3-point stencil, uniform
 grid, Dirichlet boundaries); the lowest eigenvalues come from LAPACK's
-Sturm-sequence bisection driver.
+Sturm-sequence bisection driver ``dstebz``.  It is called from scipy's
+compiled ``scipy.linalg._flapack`` module, loaded on first use without
+``scipy/linalg/__init__.py``: that package's array-API shims take about
+180 ms to import, the one extension module a few ms.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
 
 import numpy as np
 
@@ -110,27 +118,50 @@ def assemble(op: DiffOp, grid: Grid) -> SymTriMatrix:
     return stencil(a_poly.eval(1.0).real, grid, c_vals)
 
 
+@functools.cache
+def _dstebz():
+    """LAPACK's dstebz from ``scipy.linalg._flapack``.  A module not yet
+    imported is loaded from its file and registered under its own name, so
+    ``scipy.linalg``, if imported later, reuses this module object."""
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        # find_spec of a top-level package does not run its __init__
+        linalg = Path(
+            importlib.util.find_spec("scipy").submodule_search_locations[0],
+            "linalg")
+        for suffix in EXTENSION_SUFFIXES:
+            path = linalg / f"_flapack{suffix}"
+            if path.is_file():
+                break
+        else:
+            raise ImportError(f"no {name} extension in {linalg}")
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return module.dstebz
+
+
 def eigenvalues(matrix: SymTriMatrix, count: int,
                 grid: Grid | None = None) -> SpectralResult:
     """The `count` smallest eigenvalues, by Sturm-sequence bisection."""
     if not 1 <= count <= matrix.size:
         raise ValueError("count must satisfy 1 <= count <= N")
-    # scipy is imported here, not at module level: only this function needs it
-    from scipy.linalg import eigvalsh_tridiagonal
-
-    try:
-        vals = eigvalsh_tridiagonal(
-            matrix.diagonal, matrix.off_diagonal, select="i",
-            select_range=(0, count - 1), lapack_driver="stebz",
-        )
-    except np.linalg.LinAlgError:  # bisection fails on too wide a range
+    d = np.asarray_chkfinite(matrix.diagonal)  # scipy's refusal, word for word
+    e = np.asarray_chkfinite(matrix.off_diagonal)
+    # range 2: indices il..iu; tol 0: LAPACK's own; order "E": ascending
+    m, w, _, _, info = _dstebz()(d, e, 2, 0.0, 1.0, 1, count, 0.0, "E")
+    if info > 0:  # bisection fails on too wide a range
         where = "" if grid is None else (
             f" on the grid over [{grid.z_min:g}, {grid.z_max:g}]"
             f" with h = {grid.h:g}"
         )
-        raise ValueError(f"eigenvalues did not converge{where}") from None
+        raise ValueError(f"eigenvalues did not converge{where}")
+    if info < 0:
+        raise RuntimeError(f"dstebz refused its argument {-info}")
     return SpectralResult(
-        eigenvalues=tuple(sorted(float(v) for v in vals)),
+        eigenvalues=tuple(w[:m].tolist()),
         grid=grid if grid is not None else Grid(0.0, 1.0, matrix.size),
     )
 

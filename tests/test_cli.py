@@ -364,6 +364,19 @@ class TestSpectrum:
             "[0, 1e-100] with h = 9.09091e-102\n"
         )
 
+    def test_non_finite_matrix_is_one_domain_error(self, tmp_path):
+        # rho_L = 1e-300 makes k overflow to inf, so the stencil holds inf and
+        # nan and the solver's own finiteness check is the one that fires
+        cfg = tmp_path / "light.cfg"
+        cfg.write_text("sigma = 0.5\nP_v = 1\nrho_L = 1e-300\nT = 4\nP = 0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(
+                "spectrum", "--a=-1/4", "--zmin", "1e-40", "--zmax", "2e-40",
+                "--points", "3", "--count", "1", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == "error: domain: array must not contain infs or NaNs\n"
+
     @pytest.mark.parametrize("command", [("spectrum", "--a=-1/3"), ("scan",)])
     def test_points_above_cap_is_domain_error(self, command):
         code, out, err = invoke(*command, "--points", str(MAX_POINTS + 1))
@@ -720,6 +733,29 @@ class TestUsageErrors:
             _, _, err = invoke(*argv)
             assert err.endswith("\n")
             assert err.count("\n") == 1
+
+
+class TestParserReuse:
+    """run builds its parser once; successive calls share no state."""
+
+    def test_one_parser_for_every_call(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_bindings_do_not_carry_over(self):
+        ham = ("weyl", "--hamiltonian", "p^2/(2*Q*x^3)")
+        bound = invoke_json(*ham, "--bind", "Q=4")
+        by_order = {t["order"]: t["poly"] for t in bound["operator"]["terms"]}
+        assert by_order[2][0]["p"] == "-1/8"
+        code, out, err = invoke(*ham)  # Q=4 from the call before is gone
+        assert (code, out) == (2, "")
+        assert err.startswith("error: domain:")
+
+    def test_good_call_after_usage_error(self):
+        code, out, err = invoke("susy", "--a=1/0")
+        assert (code, out) == (1, "")
+        code, out, err = invoke("susy", "--a=-1/3")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["a"] == "-1/3"
 
 
 class TestEntryPoint:

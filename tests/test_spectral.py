@@ -4,7 +4,9 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from pdmbubble import spectral
 from pdmbubble.algebra import DiffOp, OrderingParam, PolyX, PowerLawMass
+from pdmbubble.helium import DEFAULT_HE4, derived_params, potential_profile
 from pdmbubble.spectral import (
     AssembleError,
     Grid,
@@ -12,6 +14,7 @@ from pdmbubble.spectral import (
     assemble,
     compare_spectra,
     eigenvalues,
+    stencil,
 )
 from pdmbubble.susy import ladder_product, z_space_operator
 
@@ -121,6 +124,59 @@ class TestEigenvalues:
             g = Grid(-width, width, 2000)
             evs.append(eigenvalues(assemble(oscillator(), g), 1, g).eigenvalues[0])
         assert evs[0] >= evs[1] >= evs[2]
+
+
+def scipy_levels(matrix, count):
+    """The lowest levels from scipy's public wrapper, with the arguments
+    ``eigenvalues`` hands to dstebz."""
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    return eigvalsh_tridiagonal(
+        matrix.diagonal, matrix.off_diagonal, select="i",
+        select_range=(0, count - 1), lapack_driver="stebz")
+
+
+class TestLapackCall:
+    """``eigenvalues`` calls dstebz directly, bit for bit as scipy's
+    ``eigvalsh_tridiagonal(select="i", lapack_driver="stebz")`` does."""
+
+    @pytest.mark.parametrize("points", [3, 4, 17, 2000, 12000])
+    @pytest.mark.parametrize("a", [F(-1, 3), F(0), F(1, 2)])
+    def test_helium_stencils_match_scipy(self, points, a):
+        d = derived_params(DEFAULT_HE4)
+        grid = Grid(0.05, 3.0, points)
+        profile = potential_profile(a, d, grid.interior, "expanded")
+        m = stencil(-d.k, grid, profile.V_a_J, profile.V_sys_J)
+        for count in (1, points) if points < 100 else (1, 60):
+            got = np.array(eigenvalues(m, count, grid).eigenvalues)
+            assert np.array_equal(got, scipy_levels(m, count))
+
+    def test_graded_matrices_match_scipy(self):
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            n = int(rng.integers(3, 300))
+            scale = 10.0 ** rng.uniform(-30, 30, n)
+            m = SymTriMatrix(rng.standard_normal(n) * scale,
+                             rng.standard_normal(n - 1)
+                             * np.sqrt(scale[:-1] * scale[1:]))
+            count = int(rng.integers(1, n + 1))
+            got = np.array(eigenvalues(m, count).eigenvalues)
+            assert np.array_equal(got, scipy_levels(m, count))
+
+    def test_loader_returns_scipys_dstebz(self):
+        # a scipy that moves or renames its LAPACK module fails here
+        import scipy.linalg.lapack
+
+        assert spectral._dstebz() is scipy.linalg.lapack.dstebz
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["diagonal", "off_diagonal"])
+    def test_non_finite_input_refused(self, bad, where):
+        columns = {"diagonal": np.ones(4), "off_diagonal": np.ones(3)}
+        columns[where][1] = bad
+        with pytest.raises(ValueError) as info:
+            eigenvalues(SymTriMatrix(**columns), 2)
+        assert str(info.value) == "array must not contain infs or NaNs"
 
 
 class TestCompareSpectra:

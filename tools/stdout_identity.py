@@ -38,6 +38,7 @@ CONFIGS = {
     "light": "sigma = 1e100\nP_v = 1\nrho_L = 1e-300\nT = 4\nP = 0\n",
     "ev_huge": "sigma = 1e284\nP_v = 2e284\nrho_L = 1\nT = 4\nP = 0\n",
     "r_c_tiny": "sigma = 1e-100\nP_v = 1\nrho_L = 140\nT = 4\n",
+    "k_inf": "sigma = 0.5\nP_v = 1\nrho_L = 1e-300\nT = 4\nP = 0\n",
 }
 
 ORDERINGS = ("-1/3", "0", "1/2", "-1/6", "-2/3", "1/6", "7/24", "-5/11")
@@ -83,7 +84,9 @@ def well_box_set() -> list[list[str]]:
 
 
 def error_set() -> list[list[str]]:
-    """Front-door faults recorded in CHANGES.md, and neighbouring bad input."""
+    """Front-door faults recorded in CHANGES.md, neighbouring bad input, and
+    the edges of the LAPACK call: every level, the smallest grid and a
+    non-finite matrix."""
     spectrum = ["spectrum", "--a=-1/3"]
     return [
         ["susy", "--a=1/0"],
@@ -93,6 +96,10 @@ def error_set() -> list[list[str]]:
         [*spectrum, "--zmax", "1e200", "--points", "10"],
         [*spectrum, "--zmin", "0", "--zmax", "1e-100", "--points", "10"],
         [*spectrum, "--points", "10", "--count", "11"],
+        [*spectrum, "--points", "10", "--count", "10"],
+        [*spectrum, "--points", "3", "--count", "3"],
+        ["spectrum", "--a=-1/4", "--zmin", "1e-40", "--zmax", "2e-40",
+         "--points", "3", "--count", "1", "--config", "@k_inf"],
         [*spectrum, "--points", "1000001"],
         ["spectrum", "--a=0", "--source", "bogus", "--points", "2"],
         ["spectrum", f"--a={10**200}", "--points", "10"],
