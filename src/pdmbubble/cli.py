@@ -258,9 +258,9 @@ def _cmd_spectrum(args, out) -> int:
     _check_points(args.points)
     d = derived_params(_load_params(args))
     grid = Grid(args.zmin, args.zmax, args.points)
-    # The columns come before the stencil, so v_a's z**2 check fires before
+    # The columns come before the stencil, so the z**2 check fires before
     # h**2 (h < the largest z) can overflow; the diagonal is (2k/h^2 + V_a) + V_sys.
-    profile = potential_profile(args.a, d, grid.interior, args.source)
+    profile = potential_profile(args.a, d, z_powers(grid.interior), args.source)
     matrix = stencil(-d.k, grid, profile.V_a_J, profile.V_sys_J)
     levels = np.array(eigenvalues(matrix, args.count, grid).eigenvalues)
     levels_eV = _ev(levels)

@@ -3,22 +3,21 @@
 Inputs are SI, given in code or read from a key=value parameter file by
 ``parse_params``; derived quantities include the critical radius, the barrier
 and mass scales, the kinetic prefactor of the effective z-space Hamiltonian,
-and thermal quantities.  The effective z-space Hamiltonian, with its
-potentials V_a and V_sys, is defined here as well; ``potential_profile``
-tabulates both on a z grid for ``spectrum`` and ``scan``.  Everything here is
-in joules: the eV columns belong to ``cli`` and the row formatting to ``rows``.
+and thermal quantities.  ``potential_profile`` is the one place the potentials
+of the effective z-space Hamiltonian, V_a = k c_a / z^2 and V_sys, are
+computed: it tabulates both on the ``ZPowers`` of a z grid for ``spectrum``
+and ``scan``.  Everything here is in joules: the eV columns belong to ``cli``
+and the row formatting to ``rows``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from fractions import Fraction
 from itertools import repeat
 
 import numpy as np
 
-from .algebra import OrderingParam
 from .susy import inverse_square_coefficient
 
 # Pinned constants (SI).
@@ -148,10 +147,6 @@ def derived_params(p: PhysicalParams) -> DerivedParams:
     return d
 
 
-def _bad_z(name: str, z: float) -> str:
-    return f"{name} requires z > 0" if z <= 0 else f"{name} requires finite z"
-
-
 def _powers(z_list: list[float], e: float, power=pow) -> np.ndarray:
     """z**e at each point, by Python's float pow.  numpy's array ``**`` differs
     from it in the last bit at some points, so the potentials take only their
@@ -171,7 +166,8 @@ class ZPowers:
     """A column of z with the powers the potentials take of it, z**2, z**0.8
     and z**0.4, each by Python's float pow; one instance serves every table
     on the same z.  The fractional powers are None unless every z is in
-    (0, inf): v_sys refuses such a column before it would read them."""
+    (0, inf): potential_profile refuses such a column before it would
+    read them."""
 
     z: np.ndarray
     z2: np.ndarray  # inf where Python's float pow overflows
@@ -195,76 +191,6 @@ def z_powers(zs) -> ZPowers:
     return ZPowers(z, z2, None, None)
 
 
-def _powers_of(zs) -> ZPowers:
-    """zs itself if it is a ZPowers, else the ZPowers of the column zs."""
-    return zs if isinstance(zs, ZPowers) else z_powers(zs)
-
-
-@dataclass(frozen=True)
-class EffectiveHamiltonianZ:
-    """Constant-mass Hamiltonian in z: -k d^2/dz^2 + k c_a / z^2 + V_sys(z),
-    with V_sys = U0 z^{4/5} (1 - z^{2/5}) + c0.  The potentials take a column
-    of z, or its ZPowers."""
-
-    kinetic_prefactor: float  # k = hbar^2 / (2 M0 R_c^2), J
-    c_a: Fraction
-    U0: float                 # J
-    c0: float                 # J
-
-    @_float_errors
-    def v_a(self, zs) -> np.ndarray:
-        """Ordering-dependent inverse-square potential k c_a / z^2 (J) on a
-        column of z.  The first z in order that is not in (0, inf), or whose
-        z**2 leaves the float range, raises."""
-        p = _powers_of(zs)
-        z, z2 = p.z, p.z2
-        ok = (0 < z) & (z < math.inf) & (0 < z2) & (z2 < math.inf)
-        if not ok.all():
-            x = float(z[np.argmin(ok)])
-            if not 0 < x < math.inf:
-                raise PhysicsError(_bad_z("inverse-square potential", x))
-            raise PhysicsError(
-                f"inverse-square potential: z**2 out of float range at z = {x:g}"
-            )
-        try:
-            c_a = float(self.c_a)
-        except OverflowError:
-            raise PhysicsError(
-                "inverse-square potential: c_a out of float range"
-            ) from None
-        return (self.kinetic_prefactor * c_a) / z2
-
-    @_float_errors
-    def v_sys(self, zs) -> np.ndarray:
-        """System potential U0 z^{4/5} (1 - z^{2/5}) + c0 (J) on a column of
-        z.  The first z in order that is not in (0, inf), or where V_sys is
-        not finite, raises."""
-        p = _powers_of(zs)
-        z = p.z
-        ok = (0 < z) & (z < math.inf)
-        if not ok.all():
-            raise PhysicsError(_bad_z("v_sys", float(z[np.argmin(ok)])))
-        v = self.U0 * p.p08 * (1.0 - p.p04) + self.c0
-        ok = np.isfinite(v)
-        if not ok.all():
-            x = float(z[np.argmin(ok)])
-            raise PhysicsError(f"v_sys out of float range at z = {x:g}")
-        return v
-
-
-def effective_hamiltonian_z(
-    ord: OrderingParam, params: DerivedParams, source: str, c0: float = 0.0
-) -> EffectiveHamiltonianZ:
-    """Effective z-space Hamiltonian for the n = 3 bubble problem, with k and
-    U0 in joules from params."""
-    return EffectiveHamiltonianZ(
-        kinetic_prefactor=params.k,
-        c_a=inverse_square_coefficient(ord.a, source),
-        U0=params.U0,
-        c0=c0,
-    )
-
-
 @dataclass(frozen=True)
 class PotentialProfile:
     """V_a, V_sys and their sum (J) on a z grid, as float64 columns."""
@@ -276,17 +202,40 @@ class PotentialProfile:
 
 
 @_float_errors
-def potential_profile(a, dp: DerivedParams, z_grid, source: str,
-                      c0: float = 0.0) -> PotentialProfile:
-    """Tabulate V_a, V_sys and their sum over a z grid (z > 0 throughout),
-    given as a column of z or as its ZPowers, which tables on the same grid
-    can share.  V_a is checked first, so a bad z is reported by the
-    inverse-square term."""
-    eff = effective_hamiltonian_z(OrderingParam(a), dp, source, c0)
-    p = _powers_of(z_grid)
-    v_a = eff.v_a(p)
-    v_sys = eff.v_sys(p)
-    return PotentialProfile(z=p.z, V_a_J=v_a, V_sys_J=v_sys, V_total_J=v_a + v_sys)
+def potential_profile(a, dp: DerivedParams, p: ZPowers,
+                      source: str) -> PotentialProfile:
+    """Tabulate V_a = k c_a / z^2, V_sys = U0 z^{4/5} (1 - z^{2/5}) and their
+    sum (J) on the z column of p, the potentials of the constant-mass
+    Hamiltonian -k d^2/dz^2 + k c_a / z^2 + V_sys(z); c_a is
+    ``susy.inverse_square_coefficient(a, source)``.  A bad source raises
+    first; then the first z in order that is not in (0, inf), or whose z**2
+    leaves the float range; then a c_a, and last the first V_sys, out of
+    the float range."""
+    c_a = inverse_square_coefficient(a, source)
+    z, z2 = p.z, p.z2
+    ok = (0 < z) & (z < math.inf) & (0 < z2) & (z2 < math.inf)
+    if not ok.all():
+        x = float(z[np.argmin(ok)])
+        if not 0 < x < math.inf:
+            why = "z > 0" if x <= 0 else "finite z"
+            raise PhysicsError(f"inverse-square potential requires {why}")
+        raise PhysicsError(
+            f"inverse-square potential: z**2 out of float range at z = {x:g}"
+        )
+    try:
+        c_a = float(c_a)
+    except OverflowError:
+        raise PhysicsError(
+            "inverse-square potential: c_a out of float range"
+        ) from None
+    v_a = (dp.k * c_a) / z2
+    # + 0.0: an underflowed U0 = 0 gives -0.0 at z > 1, printed as 0.0
+    v_sys = dp.U0 * p.p08 * (1.0 - p.p04) + 0.0
+    ok = np.isfinite(v_sys)
+    if not ok.all():
+        x = float(z[np.argmin(ok)])
+        raise PhysicsError(f"v_sys out of float range at z = {x:g}")
+    return PotentialProfile(z=z, V_a_J=v_a, V_sys_J=v_sys, V_total_J=v_a + v_sys)
 
 
 def barrier_info(dp: DerivedParams, c0: float = 0.0) -> tuple[float, float]:

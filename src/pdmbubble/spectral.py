@@ -84,7 +84,6 @@ class SymTriMatrix:
 @dataclass(frozen=True)
 class SpectralResult:
     eigenvalues: tuple[float, ...]
-    grid: Grid
 
 
 def stencil(a_val: float, grid: Grid, *columns) -> SymTriMatrix:
@@ -145,11 +144,14 @@ def _dstebz():
 
 def eigenvalues(matrix: SymTriMatrix, count: int,
                 grid: Grid | None = None) -> SpectralResult:
-    """The `count` smallest eigenvalues, by Sturm-sequence bisection."""
+    """The `count` smallest eigenvalues, by Sturm-sequence bisection.  A grid,
+    if given, is named when the solve does not converge."""
     if not 1 <= count <= matrix.size:
         raise ValueError("count must satisfy 1 <= count <= N")
     d = np.asarray_chkfinite(matrix.diagonal)  # scipy's refusal, word for word
     e = np.asarray_chkfinite(matrix.off_diagonal)
+    if matrix.size == 1:  # dstebz's wrapper refuses an empty e; scipy returns d
+        return SpectralResult(eigenvalues=tuple(d.tolist()))
     # range 2: indices il..iu; tol 0: LAPACK's own; order "E": ascending
     m, w, _, _, info = _dstebz()(d, e, 2, 0.0, 1.0, 1, count, 0.0, "E")
     if info > 0:  # bisection fails on too wide a range
@@ -160,10 +162,7 @@ def eigenvalues(matrix: SymTriMatrix, count: int,
         raise ValueError(f"eigenvalues did not converge{where}")
     if info < 0:
         raise RuntimeError(f"dstebz refused its argument {-info}")
-    return SpectralResult(
-        eigenvalues=tuple(w[:m].tolist()),
-        grid=grid if grid is not None else Grid(0.0, 1.0, matrix.size),
-    )
+    return SpectralResult(eigenvalues=tuple(w[:m].tolist()))
 
 
 def compare_spectra(

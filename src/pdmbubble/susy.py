@@ -3,7 +3,8 @@
 Builds the superpotential and ladder operators, verifies the Heisenberg
 algebra, extracts partner potentials by two routes, and gives the
 inverse-square coefficient c_a and the symbolic operator in the oscillator
-variable z.  The same Hamiltonian in joules is ``helium.EffectiveHamiltonianZ``.
+variable z.  ``helium.potential_profile`` tabulates the potentials of the same
+Hamiltonian in joules.
 
 Two partner-potential sources are carried side by side:
 

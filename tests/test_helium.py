@@ -3,6 +3,7 @@ import re
 from dataclasses import asdict
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from pdmbubble.helium import (
@@ -13,20 +14,25 @@ from pdmbubble.helium import (
     K_B,
     PLANCK_H,
     DerivedParams,
-    EffectiveHamiltonianZ,
     PhysicalParams,
     PhysicsError,
     barrier_info,
     derived_params,
-    effective_hamiltonian_z,
     potential_profile,
     z_powers,
 )
-from pdmbubble.algebra import OrderingParam
+from pdmbubble.susy import inverse_square_coefficient
 
 
-def hamiltonian(U0=1.0, c0=0.0, k=1.0, c_a=F(-9, 100)) -> EffectiveHamiltonianZ:
-    return EffectiveHamiltonianZ(kinetic_prefactor=k, c_a=c_a, U0=U0, c0=c0)
+def scales(U0=1.0) -> DerivedParams:
+    """Derived scales with the given U0 and k = 1 (J); the rest are unread."""
+    return DerivedParams(R_c=1.0, U0=U0, M0=1.0, k=1.0, Lambda=1.0, p_Th=1.0,
+                         P_i_at_Rc=1.0)
+
+
+def profile(zs, U0=1.0, a=F(-1, 6)):
+    """The potentials on zs, with c_a = -9/100 at the default a."""
+    return potential_profile(a, scales(U0), z_powers(zs), "paper")
 
 
 class TestPhysicalParams:
@@ -177,23 +183,29 @@ class TestDerivedParams:
 
 class TestPotentials:
     def test_v_sys_vanishes_at_unit_radius(self):
-        assert hamiltonian(U0=3.7).v_sys([1.0])[0] == 0.0
-        assert hamiltonian(U0=3.7, c0=2.0).v_sys([1.0])[0] == 2.0
+        assert profile([1.0], U0=3.7).V_sys_J[0] == 0.0
 
     def test_v_sys_positive_inside_negative_outside(self):
-        inside, outside = hamiltonian(U0=1.0).v_sys([0.5, 2.0])
+        inside, outside = profile([0.5, 2.0]).V_sys_J
         assert inside > 0 > outside
 
     def test_v_sys_requires_positive_z(self):
         with pytest.raises(PhysicsError):
-            hamiltonian(U0=1.0).v_sys([0.0])
+            profile([0.0])
         with pytest.raises(PhysicsError):
-            hamiltonian(k=1.0, c_a=F(-9, 100)).v_a([-1.0])
+            profile([-1.0])
 
     def test_inverse_square_negative_divergence(self):
-        values = hamiltonian(k=1.0, c_a=F(-9, 100)).v_a([0.1, 0.01])
+        values = profile([0.1, 0.01]).V_a_J
         assert values[1] < values[0] < 0
         assert values[1] == pytest.approx(100.0 * values[0])
+
+    def test_v_sys_of_zero_u0_is_positive_zero(self):
+        # U0 underflows to 0 for a tiny sigma; 0 * (1 - z**0.4) is -0.0 at
+        # z > 1, which would print as -0.00000000000e+00
+        v_sys = profile([0.5, 1.0, 2.0, 3.0], U0=0.0).V_sys_J
+        assert v_sys.tolist() == [0.0] * 4
+        assert not np.signbit(v_sys).any()
 
 
 class TestProfile:
@@ -202,19 +214,20 @@ class TestProfile:
 
     def test_columns_and_units(self):
         d = derived_params(DEFAULT_HE4.with_pressure(0.8 * DEFAULT_HE4.P_v))
-        p = potential_profile(F(-1, 6), d, [0.5, 1.0], "paper")
+        p = potential_profile(F(-1, 6), d, z_powers([0.5, 1.0]), "paper")
         assert p.z.tolist() == [0.5, 1.0]
         assert p.V_total_J.tolist() == (p.V_a_J + p.V_sys_J).tolist()
 
     def test_negative_divergence_near_origin(self):
         d = derived_params(DEFAULT_HE4.with_pressure(0.8 * DEFAULT_HE4.P_v))
-        totals = potential_profile(F(-1, 6), d, [1e-7, 1e-8, 1e-9], "paper").V_total_J
+        totals = potential_profile(
+            F(-1, 6), d, z_powers([1e-7, 1e-8, 1e-9]), "paper").V_total_J
         assert totals[0] > totals[1] > totals[2]
         assert totals[2] < -1e3 * d.U0
 
     def test_single_interior_maximum_of_v_sys(self):
         d = derived_params(DEFAULT_HE4.with_pressure(0.8 * DEFAULT_HE4.P_v))
-        vs = potential_profile(F(-1, 6), d, self.grid(), "paper").V_sys_J
+        vs = potential_profile(F(-1, 6), d, z_powers(self.grid()), "paper").V_sys_J
         sign_changes = 0
         for i in range(1, len(vs) - 1):
             if vs[i] > vs[i - 1] and vs[i] > vs[i + 1]:
@@ -225,14 +238,15 @@ class TestProfile:
         heights = []
         for ratio in (0.8, 0.95):
             d = derived_params(DEFAULT_HE4.with_pressure(ratio * DEFAULT_HE4.P_v))
-            profile = potential_profile(F(-1, 6), d, self.grid(), "paper")
+            profile = potential_profile(F(-1, 6), d, z_powers(self.grid()), "paper")
             heights.append(max(profile.V_sys_J))
         assert heights[1] > heights[0]
 
     def test_source_selects_coefficient(self):
         d = derived_params(DEFAULT_HE4)
-        paper = potential_profile(F(0), d, [0.5], "paper").V_a_J[0]
-        expanded = potential_profile(F(0), d, [0.5], "expanded").V_a_J[0]
+        p = z_powers([0.5])
+        paper = potential_profile(F(0), d, p, "paper").V_a_J[0]
+        expanded = potential_profile(F(0), d, p, "expanded").V_a_J[0]
         assert paper == pytest.approx(d.k * (-21.0 / 100.0) / 0.25, rel=1e-12, abs=0)
         assert expanded == pytest.approx(d.k * (39.0 / 100.0) / 0.25, rel=1e-12, abs=0)
 
@@ -244,28 +258,22 @@ def uniform(lo, hi, n):
 class TestColumns:
     """The columns equal, bit for bit, V_a and V_sys evaluated one point at a
     time with Python floats in the scalar order: (k c_a)/z**2 and
-    (U0 z**0.8)(1 - z**0.4) + c0."""
+    (U0 z**0.8)(1 - z**0.4)."""
 
     @pytest.mark.parametrize("box", [(0.05, 3.0), (1e-8, 0.02)])
     @pytest.mark.parametrize("a", [F(-1, 3), F(0), F(1, 6)])
     @pytest.mark.parametrize("source", ["expanded", "paper"])
     def test_bit_identical_to_per_point_reference(self, box, a, source):
         d = derived_params(DEFAULT_HE4.with_pressure(0.8 * DEFAULT_HE4.P_v))
-        c0 = 0.25 * d.U0
         zs = uniform(*box, 10007)
-        eff = effective_hamiltonian_z(OrderingParam(a), d, source, c0)
-        k_c_a = d.k * float(eff.c_a)
+        k_c_a = d.k * float(inverse_square_coefficient(a, source))
         v_a = [k_c_a / z**2 for z in zs]
-        v_sys = [d.U0 * z**0.8 * (1.0 - z**0.4) + c0 for z in zs]
-        assert eff.v_a(zs).tolist() == v_a
-        assert eff.v_sys(zs).tolist() == v_sys
-        p = potential_profile(a, d, zs, source, c0)
+        v_sys = [d.U0 * z**0.8 * (1.0 - z**0.4) for z in zs]
+        p = potential_profile(a, d, z_powers(zs), source)
         assert p.z.tolist() == zs
+        assert p.V_a_J.tolist() == v_a
+        assert p.V_sys_J.tolist() == v_sys
         assert p.V_total_J.tolist() == [x + y for x, y in zip(v_a, v_sys)]
-        shared = potential_profile(a, d, z_powers(zs), source, c0)
-        assert shared.V_a_J.tolist() == v_a
-        assert shared.V_sys_J.tolist() == v_sys
-        assert shared.V_total_J.tolist() == p.V_total_J.tolist()
 
     @pytest.mark.parametrize(
         "zs, message",
@@ -278,24 +286,23 @@ class TestColumns:
     )
     def test_first_bad_z_in_order_names_the_error(self, zs, message):
         with pytest.raises(PhysicsError, match=re.escape(message)):
-            hamiltonian().v_a(zs)
-
-    def test_v_sys_reports_first_bad_z_in_order(self):
-        with pytest.raises(PhysicsError, match="v_sys requires finite z"):
-            hamiltonian().v_sys([1.0, math.inf, -1.0])
-        with pytest.raises(PhysicsError, match="v_sys requires z > 0"):
-            hamiltonian().v_sys([1.0, -1.0, math.inf])
+            profile(zs)
 
     def test_v_sys_out_of_float_range_names_the_first_z(self):
         with pytest.raises(
             PhysicsError, match=re.escape("v_sys out of float range at z = 1e+10")
         ):
-            hamiltonian(U0=1e300).v_sys([1.0, 1e10, 1e20])
+            profile([1.0, 1e10, 1e20], U0=1e300)
 
     def test_c_a_out_of_float_range_is_physics_error(self):
-        eff = hamiltonian(c_a=F(10**400))
         with pytest.raises(PhysicsError, match="c_a out of float range"):
-            eff.v_a([1.0])
+            profile([1.0], a=10**200)
+
+    def test_errors_come_in_order_source_z_c_a(self):
+        with pytest.raises(ValueError, match="unknown partner-potential source"):
+            potential_profile(10**200, scales(), z_powers([-1.0]), "bogus")
+        with pytest.raises(PhysicsError, match="requires z > 0"):
+            profile([-1.0], a=10**200)
 
 
 class TestBarrier:
@@ -309,12 +316,15 @@ class TestBarrier:
     def test_stationary_point_is_maximum_of_v_sys(self):
         d = derived_params(DEFAULT_HE4)
         z_star, v_star = barrier_info(d)
-        eff = hamiltonian(U0=d.U0)
-        eps = 1e-6
-        below, at, above = eff.v_sys([z_star - eps, z_star, z_star + eps])
+        assert z_star == pytest.approx(0.3628873693012116)
+        eps, h = 1e-6, 1e-7
+        zs = [z_star - eps, z_star - h, z_star, z_star + h, z_star + eps]
+        far_below, below, at, above, far_above = potential_profile(
+            F(0), d, z_powers(zs), "expanded").V_sys_J
         assert at == pytest.approx(v_star, rel=1e-12, abs=0)
-        assert below < v_star
-        assert above < v_star
+        assert far_below < v_star
+        assert far_above < v_star
+        assert abs(above - below) / (2 * h) < 1e-5 * d.U0
 
     def test_reference_level_offset(self):
         d = derived_params(DEFAULT_HE4)

@@ -11,7 +11,12 @@ from pdmbubble.algebra import (
     PowerLawMass,
     expand_sandwich,
 )
-from pdmbubble.helium import DEFAULT_HE4, derived_params, effective_hamiltonian_z
+from pdmbubble.helium import (
+    DEFAULT_HE4,
+    derived_params,
+    potential_profile,
+    z_powers,
+)
 from pdmbubble.susy import (
     commutator_check,
     inverse_square_coefficient,
@@ -238,19 +243,7 @@ class TestEffectiveHamiltonian:
 
     def test_effective_hamiltonian_values(self):
         d = derived_params(DEFAULT_HE4)
-        eff = effective_hamiltonian_z(OrderingParam(F(-1, 6)), d, "paper")
-        assert eff.kinetic_prefactor == d.k
-        assert eff.c_a == F(-9, 100)
-        assert eff.v_a([2.0])[0] == pytest.approx(d.k * -0.09 / 4.0, rel=1e-12, abs=0)
-        assert eff.v_sys([1.0])[0] == 0.0
-
-    def test_v_sys_stationary_point(self):
-        d = derived_params(DEFAULT_HE4)
-        eff = effective_hamiltonian_z(OrderingParam(F(0)), d, "expanded")
-        z_star = (2.0 / 3.0) ** 2.5
-        assert z_star == pytest.approx(0.3628873693012116)
-        h = 1e-7
-        below, at, above = eff.v_sys([z_star - h, z_star, z_star + h])
-        assert at == pytest.approx(4.0 / 27.0 * d.U0, rel=1e-12, abs=0)
-        deriv = (above - below) / (2 * h)
-        assert abs(deriv) < 1e-5 * d.U0
+        assert inverse_square_coefficient(F(-1, 6), "paper") == F(-9, 100)
+        p = potential_profile(F(-1, 6), d, z_powers([2.0, 1.0]), "paper")
+        assert p.V_a_J[0] == pytest.approx(d.k * -0.09 / 4.0, rel=1e-12, abs=0)
+        assert p.V_sys_J[1] == 0.0

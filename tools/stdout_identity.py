@@ -39,6 +39,7 @@ CONFIGS = {
     "ev_huge": "sigma = 1e284\nP_v = 2e284\nrho_L = 1\nT = 4\nP = 0\n",
     "r_c_tiny": "sigma = 1e-100\nP_v = 1\nrho_L = 140\nT = 4\n",
     "k_inf": "sigma = 0.5\nP_v = 1\nrho_L = 1e-300\nT = 4\nP = 0\n",
+    "u0_zero": "sigma = 1e-130\nP_v = 2e-30\nrho_L = 1e300\nT = 4\nP = 0\n",
 }
 
 ORDERINGS = ("-1/3", "0", "1/2", "-1/6", "-2/3", "1/6", "7/24", "-5/11")
@@ -84,7 +85,8 @@ def well_box_set() -> list[list[str]]:
 
 
 def error_set() -> list[list[str]]:
-    """Front-door faults recorded in CHANGES.md, neighbouring bad input, and
+    """Front-door faults recorded in CHANGES.md, neighbouring bad input, the
+    order of the source, z and c_a errors, a U0 that underflows to 0, and
     the edges of the LAPACK call: every level, the smallest grid and a
     non-finite matrix."""
     spectrum = ["spectrum", "--a=-1/3"]
@@ -102,7 +104,9 @@ def error_set() -> list[list[str]]:
          "--points", "3", "--count", "1", "--config", "@k_inf"],
         [*spectrum, "--points", "1000001"],
         ["spectrum", "--a=0", "--source", "bogus", "--points", "2"],
+        ["spectrum", "--a=0", "--source", "bogus", "--zmin", "-1"],
         ["spectrum", f"--a={10**200}", "--points", "10"],
+        ["spectrum", f"--a={10**200}", "--zmin", "-1", "--points", "10"],
         ["scan", "--pressures", "0.8,1.2", "--points", "3"],
         ["scan", "--pressures", "0.8,oops"],
         ["scan", "--zmin", "0"],
@@ -118,6 +122,7 @@ def error_set() -> list[list[str]]:
         ["scan", "--points", "1"],
         ["scan", f"--a={10**200}", "--points", "3"],
         ["scan", "--source", "bogus", "--points", "3"],
+        ["scan", "--source", "bogus", "--zmin", "0", "--points", "3"],
         ["scan", "--pressure-ratio", "0.5", "--points", "3"],
         ["params", "--config", "@he4"],
         ["spectrum", "--a=-1/3", "--config", "@he4", "--points", "300"],
@@ -145,6 +150,10 @@ def error_set() -> list[list[str]]:
          "--points", "10"],
         ["scan", "--config", "@ev_huge", "--zmin", "1", "--zmax", "1e3",
          "--points", "3", "--pressures", "0,0.9"],
+        ["scan", "--config", "@u0_zero", "--zmin", "0.5", "--zmax", "3",
+         "--points", "3", "--pressures", "0.5"],
+        [*spectrum, "--config", "@u0_zero", "--zmin", "1", "--zmax", "3",
+         "--points", "10", "--count", "2"],
         ["params", "--config", "@missing"],
     ]
 
@@ -213,21 +222,24 @@ def main() -> int:
                   for t in argv] for argv in commands]
         old = run_tree(extract_src(args.rev, tmp / "rev"), argvs)
         new = run_tree(ROOT / "src", argvs)
-    stdout_differs = 0
+    differs = {"stdout": 0, "stderr": 0, "exit": 0}
     for argv, (c0, h0, n0, e0), (c1, h1, n1, e1) in zip(commands, old, new):
         diffs = []
         if c0 != c1:
             diffs.append(f"exit {c0} -> {c1}")
+            differs["exit"] += 1
         if (h0, n0) != (h1, n1):
             diffs.append(f"stdout differs ({n0} -> {n1} chars)")
-            stdout_differs += 1
+            differs["stdout"] += 1
         if e0 != e1:
             diffs.append(f"stderr {e0!r} -> {e1!r}")
+            differs["stderr"] += 1
         if diffs:
             print(" ".join(argv) + ": " + "; ".join(diffs))
     print(f"{len(commands)} commands against {args.rev}: "
-          f"{stdout_differs} stdout differences")
-    return 1 if stdout_differs else 0
+          + ", ".join(f"{n} {kind}" for kind, n in differs.items())
+          + " differences")
+    return 1 if differs["stdout"] else 0
 
 
 if __name__ == "__main__":
