@@ -247,3 +247,15 @@ class TestEffectiveHamiltonian:
         p = potential_profile(F(-1, 6), d, z_powers([2.0, 1.0]), "paper")
         assert p.V_a_J[0] == pytest.approx(d.k * -0.09 / 4.0, rel=1e-12, abs=0)
         assert p.V_sys_J[1] == 0.0
+
+    def test_v_sys_stationary_point(self):
+        d = derived_params(DEFAULT_HE4)
+        z_star = (2.0 / 3.0) ** 2.5
+        assert z_star == pytest.approx(0.3628873693012116)
+        h = 1e-7
+        below, at, above = potential_profile(
+            F(0), d, z_powers([z_star - h, z_star, z_star + h]), "expanded"
+        ).V_sys_J
+        assert at == pytest.approx(4.0 / 27.0 * d.U0, rel=1e-12, abs=0)
+        deriv = (above - below) / (2 * h)
+        assert abs(deriv) < 1e-5 * d.U0
