@@ -258,10 +258,11 @@ def _cmd_spectrum(args, out) -> int:
     _check_points(args.points)
     d = derived_params(_load_params(args))
     grid = Grid(args.zmin, args.zmax, args.points)
+    c_a = inverse_square_coefficient(args.a, args.source)
     # The columns come before the stencil, so the z**2 check fires before
     # h**2 (h < the largest z) can overflow; the diagonal is (2k/h^2 + V_a) + V_sys.
-    profile = potential_profile(args.a, d, z_powers(grid.interior), args.source)
-    matrix = stencil(-d.k, grid, profile.V_a_J, profile.V_sys_J)
+    v_a, v_sys = potential_profile(c_a, d, z_powers(grid.interior))
+    matrix = stencil(-d.k, grid, v_a, v_sys)
     levels = np.array(eigenvalues(matrix, args.count, grid).eigenvalues)
     levels_eV = _ev(levels)
     _require_finite(eigenvalue_J=levels, eigenvalue_eV=levels_eV)
@@ -288,12 +289,13 @@ def _cmd_scan(args, out) -> int:
         (ratio, derived_params(base.with_pressure(ratio * base.P_v)))
         for ratio in ratios
     ]
+    c_a = inverse_square_coefficient(args.a, args.source)
     powers = z_powers(zs)  # the same for every table
 
+    @np.errstate(over="ignore")  # an inf total is refused with the others
     def table(d):
-        profile = potential_profile(args.a, d, powers, args.source)
-        columns = (profile.z, _ev(profile.V_a_J), _ev(profile.V_sys_J),
-                   _ev(profile.V_total_J))
+        v_a, v_sys = potential_profile(c_a, d, powers)
+        columns = (powers.z, _ev(v_a), _ev(v_sys), _ev(v_a + v_sys))
         _require_finite(V_a_eV=columns[1], V_sys_eV=columns[2],
                         V_total_eV=columns[3])
         return columns

@@ -5,9 +5,9 @@ Inputs are SI, given in code or read from a key=value parameter file by
 and mass scales, the kinetic prefactor of the effective z-space Hamiltonian,
 and thermal quantities.  ``potential_profile`` is the one place the potentials
 of the effective z-space Hamiltonian, V_a = k c_a / z^2 and V_sys, are
-computed: it tabulates both on the ``ZPowers`` of a z grid for ``spectrum``
-and ``scan``.  Everything here is in joules: the eV columns belong to ``cli``
-and the row formatting to ``rows``.
+computed, from a number c_a (nothing of the exact layer is imported) on the
+``ZPowers`` of a z column, which ``z_powers`` checks.  Everything here is in
+joules: the eV columns belong to ``cli`` and the row formatting to ``rows``.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from dataclasses import dataclass, fields, replace
 from itertools import repeat
 
 import numpy as np
-
-from .susy import inverse_square_coefficient
 
 # Pinned constants (SI).
 PLANCK_H = 6.62607015e-34       # J s
@@ -163,56 +161,29 @@ _float_errors = np.errstate(over="ignore", invalid="ignore")
 
 @dataclass(frozen=True)
 class ZPowers:
-    """A column of z with the powers the potentials take of it, z**2, z**0.8
-    and z**0.4, each by Python's float pow; one instance serves every table
-    on the same z.  The fractional powers are None unless every z is in
-    (0, inf): potential_profile refuses such a column before it would
-    read them."""
+    """A column of z that z_powers accepted, every z in (0, inf) with z**2
+    in the float range, and its powers z**2, z**0.8 and z**0.4 by Python's
+    float pow; one instance serves every table on the same z."""
 
     z: np.ndarray
-    z2: np.ndarray  # inf where Python's float pow overflows
-    p08: np.ndarray | None
-    p04: np.ndarray | None
+    z2: np.ndarray
+    p08: np.ndarray
+    p04: np.ndarray
 
     def __len__(self) -> int:  # the number of points, as for a z column
         return len(self.z)
 
 
 def z_powers(zs) -> ZPowers:
-    """z**2, z**0.8 and z**0.4 on a column of z (see ZPowers)."""
+    """z**2, z**0.8 and z**0.4 on a column of z (see ZPowers).  The first z
+    in order that is not in (0, inf), or whose z**2 leaves the float range,
+    is refused."""
     z = np.asarray(zs, dtype=float)
     z_list = z.tolist()
     try:
         z2 = _powers(z_list, 2)
     except OverflowError:  # Python's float pow raises where it overflows
         z2 = _powers(z_list, 2, _pow_or_inf)
-    if ((0 < z) & (z < math.inf)).all():
-        return ZPowers(z, z2, _powers(z_list, 0.8), _powers(z_list, 0.4))
-    return ZPowers(z, z2, None, None)
-
-
-@dataclass(frozen=True)
-class PotentialProfile:
-    """V_a, V_sys and their sum (J) on a z grid, as float64 columns."""
-
-    z: np.ndarray
-    V_a_J: np.ndarray
-    V_sys_J: np.ndarray
-    V_total_J: np.ndarray
-
-
-@_float_errors
-def potential_profile(a, dp: DerivedParams, p: ZPowers,
-                      source: str) -> PotentialProfile:
-    """Tabulate V_a = k c_a / z^2, V_sys = U0 z^{4/5} (1 - z^{2/5}) and their
-    sum (J) on the z column of p, the potentials of the constant-mass
-    Hamiltonian -k d^2/dz^2 + k c_a / z^2 + V_sys(z); c_a is
-    ``susy.inverse_square_coefficient(a, source)``.  A bad source raises
-    first; then the first z in order that is not in (0, inf), or whose z**2
-    leaves the float range; then a c_a, and last the first V_sys, out of
-    the float range."""
-    c_a = inverse_square_coefficient(a, source)
-    z, z2 = p.z, p.z2
     ok = (0 < z) & (z < math.inf) & (0 < z2) & (z2 < math.inf)
     if not ok.all():
         x = float(z[np.argmin(ok)])
@@ -222,20 +193,31 @@ def potential_profile(a, dp: DerivedParams, p: ZPowers,
         raise PhysicsError(
             f"inverse-square potential: z**2 out of float range at z = {x:g}"
         )
+    return ZPowers(z, z2, _powers(z_list, 0.8), _powers(z_list, 0.4))
+
+
+@_float_errors
+def potential_profile(c_a, dp: DerivedParams,
+                      p: ZPowers) -> tuple[np.ndarray, np.ndarray]:
+    """V_a = k c_a / z^2 and V_sys = U0 z^{4/5} (1 - z^{2/5}) (J) on the z
+    column of p, the potentials of the constant-mass Hamiltonian
+    -k d^2/dz^2 + k c_a / z^2 + V_sys(z).  c_a is a number (the exact layer's
+    ``susy.inverse_square_coefficient`` gives it for an ordering); a c_a, and
+    then the first V_sys, out of the float range is refused."""
     try:
         c_a = float(c_a)
     except OverflowError:
         raise PhysicsError(
             "inverse-square potential: c_a out of float range"
         ) from None
-    v_a = (dp.k * c_a) / z2
+    v_a = (dp.k * c_a) / p.z2
     # + 0.0: an underflowed U0 = 0 gives -0.0 at z > 1, printed as 0.0
     v_sys = dp.U0 * p.p08 * (1.0 - p.p04) + 0.0
     ok = np.isfinite(v_sys)
     if not ok.all():
-        x = float(z[np.argmin(ok)])
+        x = float(p.z[np.argmin(ok)])
         raise PhysicsError(f"v_sys out of float range at z = {x:g}")
-    return PotentialProfile(z=z, V_a_J=v_a, V_sys_J=v_sys, V_total_J=v_a + v_sys)
+    return v_a, v_sys
 
 
 def barrier_info(dp: DerivedParams, c0: float = 0.0) -> tuple[float, float]:

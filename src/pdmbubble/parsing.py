@@ -4,6 +4,9 @@ The DSL covers sums of products of rational literals, bound names, x with
 rational powers, and p up to p^2.  Precedence, tightest first: unary minus,
 '^' (binding a single signed factor), '*' and '/', then '+' and '-'.
 Decimal and scientific literals are converted exactly to rationals.
+Two bounds keep a short input from taking unbounded stack or time:
+parentheses nest at most MAX_DEPTH deep, and one product forms at most
+MAX_TERM_PAIRS term pairs.
 """
 
 from __future__ import annotations
@@ -13,6 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Coeff, PolyX
+
+#: Deepest parenthesis nesting: the parser recurses once per level.
+MAX_DEPTH = 100
+#: Most term pairs one product may multiply: a sum power's limit applies per
+#: level, so nested powers compound it.
+MAX_TERM_PAIRS = 65536
 
 
 class ParseError(Exception):
@@ -138,6 +147,11 @@ class _Value:
         return _Value({k: -v for k, v in self.parts.items()})
 
     def mul(self, other: "_Value", offset: int) -> "_Value":
+        pairs = (sum(len(v.terms) for v in self.parts.values())
+                 * sum(len(v.terms) for v in other.parts.values()))
+        if pairs > MAX_TERM_PAIRS:
+            raise ParseError(offset, f"at most {MAX_TERM_PAIRS} term pairs "
+                             "in a product", str(pairs))
         out: dict[int, PolyX] = {}
         for k1, v1 in self.parts.items():
             for k2, v2 in other.parts.items():
@@ -235,6 +249,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.bindings = bindings
+        self.depth = 0  # of the parentheses open at pos
 
     def peek(self):
         return self.tokens[self.pos]
@@ -289,11 +304,12 @@ class _Parser:
         return base
 
     def signed(self) -> _Value:
-        kind, val, off = self.peek()
-        if kind == "op" and val == "-":
+        negate = False
+        while self.peek()[:2] == ("op", "-"):
             self.advance()
-            return self.signed().neg()
-        return self.primary()
+            negate = not negate
+        value = self.primary()
+        return value.neg() if negate else value
 
     def primary(self) -> _Value:
         kind, val, off = self.advance()
@@ -308,8 +324,13 @@ class _Parser:
                 return _Value.const(Coeff.of(self.bindings[val]))
             raise UnboundNameError(off, val)
         if kind == "op" and val == "(":
+            if self.depth == MAX_DEPTH:
+                raise ParseError(
+                    off, f"parentheses nested at most {MAX_DEPTH} deep", "'('")
+            self.depth += 1
             inner = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         found = repr(val) if val else "end of input"
         raise ParseError(off, "a number, name, or '('", found)
@@ -319,7 +340,8 @@ def parse_hamiltonian(text: str, bindings: dict | None = None) -> ClassicalSymbo
     """Parse a classical-Hamiltonian expression into a ClassicalSymbol.
 
     Raises ParseError (or its UnboundNameError / PPowerError subclasses) on
-    any malformed input; parsing is total.
+    any malformed input or one past MAX_DEPTH or MAX_TERM_PAIRS; parsing is
+    total.
     """
     tokens = _tokenize(text)
     try:

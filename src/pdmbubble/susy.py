@@ -3,7 +3,8 @@
 Builds the superpotential and ladder operators, verifies the Heisenberg
 algebra, extracts partner potentials by two routes, and gives the
 inverse-square coefficient c_a and the symbolic operator in the oscillator
-variable z.  ``helium.potential_profile`` tabulates the potentials of the same
+variable z.  c_a is the one number ``helium.potential_profile`` takes from
+this layer, passed in by ``cli``, to tabulate the potentials of the same
 Hamiltonian in joules.
 
 Two partner-potential sources are carried side by side:
@@ -76,7 +77,7 @@ def superpotential(mass: PowerLawMass, ord: OrderingParam) -> Superpotential:
 def ladder_operator(mass: PowerLawMass, ord: OrderingParam, sign: str) -> DiffOp:
     """A- = (1/sqrt2) m^b D m^a + W, and A+ as its formal adjoint,
     -(1/sqrt2) m^a D m^b + W (W is real)."""
-    if sign not in "+-":
+    if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     minus = (
         DiffOp.multiplication(mass.power(ord.b))
@@ -136,7 +137,7 @@ def partner_potential(
     """V(sign) by literal transcription ('paper', n = 3 only) or by exact
     operator subtraction of the kinetic sandwich ('expanded')."""
     source = normalize_source(source)
-    if sign not in "+-":
+    if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     if source == SOURCE_PAPER:
         if mass.n != 3:

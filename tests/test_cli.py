@@ -179,6 +179,26 @@ class TestWeyl:
         assert err.startswith("error: usage: bad binding")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("(" * 300 + "x" + ")" * 300,
+             "at offset 100: expected parentheses nested at most 100 deep, "
+             "found '('"),
+            ("(((x+1)^16)^16)^16",
+             "at offset 15: expected at most 65536 term pairs in a product, "
+             "found 66049"),
+        ],
+    )
+    def test_hostile_input_is_one_domain_error(self, text, error):
+        code, out, err = invoke("weyl", f"--hamiltonian={text}")
+        assert (code, out, err) == (2, "", f"error: domain: {error}\n")
+
+    def test_long_minus_run_parses(self):
+        # a run of unary minus is a loop, not one stack frame per sign
+        assert (invoke_json("weyl", "--hamiltonian=" + "-" * 3000 + "p^2")
+                == invoke_json("weyl", "--hamiltonian", "p^2"))
+
 
 class TestSusy:
     def test_expanded_default(self):
@@ -614,6 +634,30 @@ class TestScan:
         assert code == 0, err
         expected = scalar_scan(F(-1, 3), "expanded", 1e-8, 0.02, 50, [0.5, 0.9])
         assert out == expected
+
+
+class TestErrorOrder:
+    """A command with several bad inputs names the first in the order
+    parameters or grid, source, z, c_a: helium takes a c_a that cli looked
+    up, so the order is cli's to keep."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("spectrum", f"--a={10**200}", "--source", "bogus", "--zmin", "-1"),
+             "unknown partner-potential source: 'bogus'"),
+            (("spectrum", f"--a={10**200}", "--zmin", "-1", "--points", "10"),
+             "inverse-square potential requires z > 0"),
+            (("scan", f"--a={10**200}", "--source", "bogus", "--zmin", "0",
+              "--points", "3"),
+             "unknown partner-potential source: 'bogus'"),
+            (("scan", f"--a={10**200}", "--zmin", "0", "--points", "3"),
+             "inverse-square potential requires z > 0"),
+        ],
+    )
+    def test_source_then_z_then_c_a(self, argv, message):
+        code, out, err = invoke(*argv)
+        assert (code, out, err) == (2, "", f"error: domain: {message}\n")
 
 
 def adversarial_floats() -> list[float]:

@@ -33,6 +33,9 @@ RATIOS = st.sampled_from(["0", "0.5", "0.8", "0.95"]) | st.sampled_from(
     ["1", "1.2", "-1", "nan", "inf", "1e300", "x"]
 )
 SOURCES = st.sampled_from(["expanded", "paper", "bogus"])
+# Deep nesting, a long run of minus signs and nested sum powers: each once
+# overflowed the stack or ran without end.
+HOSTILE = ["(" * 300 + "x" + ")" * 300, "-" * 3000 + "x", "(((x+1)^16)^16)^16"]
 CONFIG_NAMES = st.sampled_from(sorted(CONFIGS))
 
 OPTIONS = {
@@ -40,7 +43,7 @@ OPTIONS = {
     "weyl": {
         "--hamiltonian": st.sampled_from(
             ["p^2/(2*x^3)", "p^2/x^3", "x*p", "p^4", "p^2*x^2/M0", "((", "",
-             "p^2/x^0"]
+             "p^2/x^0", *HOSTILE]
         ),
         "--bind": st.sampled_from(["M0=2", "U0=1/0", "=3", "M0=abc", "M0"]),
     },
@@ -94,6 +97,9 @@ NOT_A_NUMBER = re.compile(r"\b(inf|infinity|nan)\b", re.IGNORECASE)
 # a span of inf or an i * span beyond the float range, which numpy would warn on
 @example(argv=["scan", "--zmin=-1e308", "--zmax=1e308", "--points=3"])
 @example(argv=["scan", "--zmax=1e308"])
+@example(argv=["weyl", f"--hamiltonian={HOSTILE[0]}"])
+@example(argv=["weyl", f"--hamiltonian={HOSTILE[1]}"])
+@example(argv=["weyl", f"--hamiltonian={HOSTILE[2]}"])
 def test_every_exit_is_clean(config_dir, argv):
     argv = [
         f"--config={config_dir / item.partition('=')[2]}"

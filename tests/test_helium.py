@@ -30,9 +30,15 @@ def scales(U0=1.0) -> DerivedParams:
                          P_i_at_Rc=1.0)
 
 
-def profile(zs, U0=1.0, a=F(-1, 6)):
-    """The potentials on zs, with c_a = -9/100 at the default a."""
-    return potential_profile(a, scales(U0), z_powers(zs), "paper")
+def profile(zs, U0=1.0, c_a=F(-9, 100)):
+    """The potentials (V_a, V_sys) on zs."""
+    return potential_profile(c_a, scales(U0), z_powers(zs))
+
+
+def at(a, source, d, zs):
+    """The potentials on zs at ordering a with the given source."""
+    return potential_profile(inverse_square_coefficient(a, source), d,
+                             z_powers(zs))
 
 
 class TestPhysicalParams:
@@ -183,27 +189,27 @@ class TestDerivedParams:
 
 class TestPotentials:
     def test_v_sys_vanishes_at_unit_radius(self):
-        assert profile([1.0], U0=3.7).V_sys_J[0] == 0.0
+        assert profile([1.0], U0=3.7)[1][0] == 0.0
 
     def test_v_sys_positive_inside_negative_outside(self):
-        inside, outside = profile([0.5, 2.0]).V_sys_J
+        inside, outside = profile([0.5, 2.0])[1]
         assert inside > 0 > outside
 
     def test_v_sys_requires_positive_z(self):
         with pytest.raises(PhysicsError):
-            profile([0.0])
+            z_powers([0.0])
         with pytest.raises(PhysicsError):
-            profile([-1.0])
+            z_powers([-1.0])
 
     def test_inverse_square_negative_divergence(self):
-        values = profile([0.1, 0.01]).V_a_J
+        values = profile([0.1, 0.01])[0]
         assert values[1] < values[0] < 0
         assert values[1] == pytest.approx(100.0 * values[0])
 
     def test_v_sys_of_zero_u0_is_positive_zero(self):
         # U0 underflows to 0 for a tiny sigma; 0 * (1 - z**0.4) is -0.0 at
         # z > 1, which would print as -0.00000000000e+00
-        v_sys = profile([0.5, 1.0, 2.0, 3.0], U0=0.0).V_sys_J
+        _, v_sys = profile([0.5, 1.0, 2.0, 3.0], U0=0.0)
         assert v_sys.tolist() == [0.0] * 4
         assert not np.signbit(v_sys).any()
 
@@ -214,20 +220,23 @@ class TestProfile:
 
     def test_columns_and_units(self):
         d = derived_params(DEFAULT_HE4.with_pressure(0.8 * DEFAULT_HE4.P_v))
-        p = potential_profile(F(-1, 6), d, z_powers([0.5, 1.0]), "paper")
+        p = z_powers([0.5, 1.0])
+        v_a, v_sys = potential_profile(F(-9, 100), d, p)
         assert p.z.tolist() == [0.5, 1.0]
-        assert p.V_total_J.tolist() == (p.V_a_J + p.V_sys_J).tolist()
+        assert len(p) == 2
+        assert v_a.dtype == v_sys.dtype == np.float64
+        assert v_a.tolist() == [d.k * -0.09 / 0.25, d.k * -0.09 / 1.0]
+        assert v_sys.tolist() == [d.U0 * 0.5**0.8 * (1.0 - 0.5**0.4), 0.0]
 
     def test_negative_divergence_near_origin(self):
         d = derived_params(DEFAULT_HE4.with_pressure(0.8 * DEFAULT_HE4.P_v))
-        totals = potential_profile(
-            F(-1, 6), d, z_powers([1e-7, 1e-8, 1e-9]), "paper").V_total_J
+        totals = sum(at(F(-1, 6), "paper", d, [1e-7, 1e-8, 1e-9]))
         assert totals[0] > totals[1] > totals[2]
         assert totals[2] < -1e3 * d.U0
 
     def test_single_interior_maximum_of_v_sys(self):
         d = derived_params(DEFAULT_HE4.with_pressure(0.8 * DEFAULT_HE4.P_v))
-        vs = potential_profile(F(-1, 6), d, z_powers(self.grid()), "paper").V_sys_J
+        _, vs = at(F(-1, 6), "paper", d, self.grid())
         sign_changes = 0
         for i in range(1, len(vs) - 1):
             if vs[i] > vs[i - 1] and vs[i] > vs[i + 1]:
@@ -238,15 +247,14 @@ class TestProfile:
         heights = []
         for ratio in (0.8, 0.95):
             d = derived_params(DEFAULT_HE4.with_pressure(ratio * DEFAULT_HE4.P_v))
-            profile = potential_profile(F(-1, 6), d, z_powers(self.grid()), "paper")
-            heights.append(max(profile.V_sys_J))
+            _, v_sys = at(F(-1, 6), "paper", d, self.grid())
+            heights.append(max(v_sys))
         assert heights[1] > heights[0]
 
     def test_source_selects_coefficient(self):
         d = derived_params(DEFAULT_HE4)
-        p = z_powers([0.5])
-        paper = potential_profile(F(0), d, p, "paper").V_a_J[0]
-        expanded = potential_profile(F(0), d, p, "expanded").V_a_J[0]
+        paper = at(F(0), "paper", d, [0.5])[0][0]
+        expanded = at(F(0), "expanded", d, [0.5])[0][0]
         assert paper == pytest.approx(d.k * (-21.0 / 100.0) / 0.25, rel=1e-12, abs=0)
         assert expanded == pytest.approx(d.k * (39.0 / 100.0) / 0.25, rel=1e-12, abs=0)
 
@@ -269,11 +277,14 @@ class TestColumns:
         k_c_a = d.k * float(inverse_square_coefficient(a, source))
         v_a = [k_c_a / z**2 for z in zs]
         v_sys = [d.U0 * z**0.8 * (1.0 - z**0.4) for z in zs]
-        p = potential_profile(a, d, z_powers(zs), source)
+        p = z_powers(zs)
+        got_a, got_sys = potential_profile(
+            inverse_square_coefficient(a, source), d, p)
         assert p.z.tolist() == zs
-        assert p.V_a_J.tolist() == v_a
-        assert p.V_sys_J.tolist() == v_sys
-        assert p.V_total_J.tolist() == [x + y for x, y in zip(v_a, v_sys)]
+        assert got_a.tolist() == v_a
+        assert got_sys.tolist() == v_sys
+        # scan's V_total column, formed in cli as the columns' sum
+        assert (got_a + got_sys).tolist() == [x + y for x, y in zip(v_a, v_sys)]
 
     @pytest.mark.parametrize(
         "zs, message",
@@ -286,7 +297,7 @@ class TestColumns:
     )
     def test_first_bad_z_in_order_names_the_error(self, zs, message):
         with pytest.raises(PhysicsError, match=re.escape(message)):
-            profile(zs)
+            z_powers(zs)
 
     def test_v_sys_out_of_float_range_names_the_first_z(self):
         with pytest.raises(
@@ -296,13 +307,7 @@ class TestColumns:
 
     def test_c_a_out_of_float_range_is_physics_error(self):
         with pytest.raises(PhysicsError, match="c_a out of float range"):
-            profile([1.0], a=10**200)
-
-    def test_errors_come_in_order_source_z_c_a(self):
-        with pytest.raises(ValueError, match="unknown partner-potential source"):
-            potential_profile(10**200, scales(), z_powers([-1.0]), "bogus")
-        with pytest.raises(PhysicsError, match="requires z > 0"):
-            profile([-1.0], a=10**200)
+            profile([1.0], c_a=inverse_square_coefficient(10**200, "paper"))
 
 
 class TestBarrier:
@@ -317,10 +322,9 @@ class TestBarrier:
         d = derived_params(DEFAULT_HE4)
         z_star, v_star = barrier_info(d)
         eps = 1e-6
-        below, at, above = potential_profile(
-            F(0), d, z_powers([z_star - eps, z_star, z_star + eps]),
-            "expanded").V_sys_J
-        assert at == pytest.approx(v_star, rel=1e-12, abs=0)
+        below, at_star, above = at(
+            F(0), "expanded", d, [z_star - eps, z_star, z_star + eps])[1]
+        assert at_star == pytest.approx(v_star, rel=1e-12, abs=0)
         assert below < v_star
         assert above < v_star
 

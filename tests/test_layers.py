@@ -39,6 +39,16 @@ def test_exact_layer_imports_without_numpy_or_scipy(module):
     assert loaded_after_import(module) == "[]\n"
 
 
+def test_helium_imports_without_the_exact_layer():
+    """helium computes from numbers: c_a is an argument, so importing it
+    loads neither susy nor algebra."""
+    assert run_fresh(
+        "import sys, pdmbubble.helium\n"
+        "print(sorted(m for m in ('pdmbubble.algebra', 'pdmbubble.susy') "
+        "if m in sys.modules))"
+    ) == "[]\n"
+
+
 def test_cli_imports_numpy_without_scipy():
     """No scipy module is loaded until eigenvalues are taken, so the commands
     that take none do not pay for it; see the test below for what a spectrum

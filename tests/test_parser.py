@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from pdmbubble.algebra import Coeff, PolyX
 from pdmbubble.helium import PhysicalParams, parse_params
 from pdmbubble.parsing import (
+    MAX_DEPTH,
+    MAX_TERM_PAIRS,
     ClassicalSymbol,
     ParseError,
     PPowerError,
@@ -74,6 +76,64 @@ class TestParseHamiltonian:
             with pytest.raises(ParseError) as info:
                 parse_hamiltonian(text, {})
             assert 0 <= info.value.offset <= len(text)
+
+
+def monomials(n: int) -> str:
+    """A sum of n distinct powers of x, in parentheses."""
+    return "(" + "+".join(f"x^{i}" for i in range(1, n + 1)) + ")"
+
+
+class TestBounds:
+    """Nesting and product size are bounded, so a short input can neither
+    overflow the stack nor run without end."""
+
+    def test_nesting_at_the_bound_parses(self):
+        text = "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH
+        assert parse_hamiltonian(text) == parse_hamiltonian("x")
+
+    @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 200, 300])
+    def test_nesting_past_the_bound_names_the_first_paren(self, depth):
+        with pytest.raises(ParseError) as info:
+            parse_hamiltonian("(" * depth + "x" + ")" * depth)
+        assert (info.value.offset, info.value.found) == (MAX_DEPTH, "'('")
+
+    def test_offset_counts_the_text_between_parens(self):
+        text = "1+(" * 101 + "x" + ")" * 101
+        with pytest.raises(ParseError) as info:
+            parse_hamiltonian(text)
+        assert info.value.offset == 2 + 3 * MAX_DEPTH
+
+    def test_closed_parens_do_not_count(self):
+        text = "+".join(["(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH] * 3)
+        assert parse_hamiltonian(text) == parse_hamiltonian("3*x")
+
+    @pytest.mark.parametrize("run", [1, 2, 999, 1000, 3000, 3001])
+    def test_minus_run_is_negated_once_per_odd_count(self, run):
+        want = parse_hamiltonian("-x" if run % 2 else "x")
+        assert parse_hamiltonian("-" * run + "x") == want
+        assert parse_hamiltonian("x^" + "-" * run + "2") == parse_hamiltonian(
+            "x^-2" if run % 2 else "x^2")
+
+    def test_minus_run_after_binary_minus(self):
+        assert parse_hamiltonian("x" + "-" * 1001 + "x").terms == ()
+
+    def test_product_at_the_pair_bound_parses(self):
+        assert MAX_TERM_PAIRS == 256 * 256
+        sym = parse_hamiltonian(monomials(256) + "*" + monomials(256))
+        assert len(sym.part(0).terms) == 511
+
+    def test_product_past_the_pair_bound_names_the_operator(self):
+        left = monomials(256)
+        with pytest.raises(ParseError) as info:
+            parse_hamiltonian(left + "*" + monomials(257))
+        assert (info.value.offset, info.value.found) == (len(left), "65792")
+
+    def test_nested_sum_powers_are_bounded(self):
+        sym = parse_hamiltonian("((x+1)^16)^16")
+        assert len(sym.part(0).terms) == 257
+        with pytest.raises(ParseError) as info:
+            parse_hamiltonian("(((x+1)^16)^16)^16")
+        assert (info.value.offset, info.value.found) == (15, "66049")
 
 
 @st.composite

@@ -21,7 +21,11 @@ from pdmbubble.spectral import (
     eigenvalues,
     stencil,
 )
-from pdmbubble.susy import ladder_product, z_space_operator
+from pdmbubble.susy import (
+    inverse_square_coefficient,
+    ladder_product,
+    z_space_operator,
+)
 
 HALF_LAPLACIAN = DiffOp([(PolyX.const(F(-1, 2)), 2)])
 
@@ -150,8 +154,9 @@ class TestLapackCall:
     def test_helium_stencils_match_scipy(self, points, a):
         d = derived_params(DEFAULT_HE4)
         grid = Grid(0.05, 3.0, points)
-        profile = potential_profile(a, d, z_powers(grid.interior), "expanded")
-        m = stencil(-d.k, grid, profile.V_a_J, profile.V_sys_J)
+        c_a = inverse_square_coefficient(a, "expanded")
+        v_a, v_sys = potential_profile(c_a, d, z_powers(grid.interior))
+        m = stencil(-d.k, grid, v_a, v_sys)
         for count in (1, points) if points < 100 else (1, 60):
             got = np.array(eigenvalues(m, count, grid).eigenvalues)
             assert np.array_equal(got, scipy_levels(m, count))

@@ -91,6 +91,12 @@ class TestLadderOperators:
             ) + DiffOp.multiplication(superpotential(mass, ordp).W)
             assert ladder_operator(mass, ordp, "+") == expected
 
+    @pytest.mark.parametrize("sign", ["", "+-"])
+    def test_sign_is_one_character_of_two(self, sign):
+        # a substring test would take "" and "+-" for a sign
+        with pytest.raises(ValueError, match=r"^sign must be '\+' or '-'$"):
+            ladder_operator(N3, OrderingParam(F(0)), sign)
+
 
 class TestHeisenbergAlgebra:
     def test_random_rational_orderings(self):
@@ -222,6 +228,12 @@ class TestPartnerPotentials:
         with pytest.raises(ValueError):
             partner_potential(PowerLawMass(F(2)), OrderingParam(F(0)), "+", "paper")
 
+    @pytest.mark.parametrize("source", ["paper", "expanded"])
+    @pytest.mark.parametrize("sign", ["", "+-"])
+    def test_sign_is_one_character_of_two(self, sign, source):
+        with pytest.raises(ValueError, match=r"^sign must be '\+' or '-'$"):
+            partner_potential(N3, OrderingParam(F(0)), sign, source)
+
 
 class TestEffectiveHamiltonian:
     def test_paper_coefficient_at_minus_sixth(self):
@@ -244,18 +256,19 @@ class TestEffectiveHamiltonian:
     def test_effective_hamiltonian_values(self):
         d = derived_params(DEFAULT_HE4)
         assert inverse_square_coefficient(F(-1, 6), "paper") == F(-9, 100)
-        p = potential_profile(F(-1, 6), d, z_powers([2.0, 1.0]), "paper")
-        assert p.V_a_J[0] == pytest.approx(d.k * -0.09 / 4.0, rel=1e-12, abs=0)
-        assert p.V_sys_J[1] == 0.0
+        c_a = inverse_square_coefficient(F(-1, 6), "paper")
+        v_a, v_sys = potential_profile(c_a, d, z_powers([2.0, 1.0]))
+        assert v_a[0] == pytest.approx(d.k * -0.09 / 4.0, rel=1e-12, abs=0)
+        assert v_sys[1] == 0.0
 
     def test_v_sys_stationary_point(self):
         d = derived_params(DEFAULT_HE4)
         z_star = (2.0 / 3.0) ** 2.5
         assert z_star == pytest.approx(0.3628873693012116)
         h = 1e-7
-        below, at, above = potential_profile(
-            F(0), d, z_powers([z_star - h, z_star, z_star + h]), "expanded"
-        ).V_sys_J
+        c_a = inverse_square_coefficient(F(0), "expanded")
+        _, (below, at, above) = potential_profile(
+            c_a, d, z_powers([z_star - h, z_star, z_star + h]))
         assert at == pytest.approx(4.0 / 27.0 * d.U0, rel=1e-12, abs=0)
         deriv = (above - below) / (2 * h)
         assert abs(deriv) < 1e-5 * d.U0

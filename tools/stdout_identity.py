@@ -86,9 +86,10 @@ def well_box_set() -> list[list[str]]:
 
 def error_set() -> list[list[str]]:
     """Front-door faults recorded in CHANGES.md, neighbouring bad input, the
-    order of the source, z and c_a errors, a U0 that underflows to 0, and
-    the edges of the LAPACK call: every level, the smallest grid and a
-    non-finite matrix."""
+    order of the ratio, source, z and c_a errors, a U0 that underflows to 0,
+    the edges of the LAPACK call (every level, the smallest grid and a
+    non-finite matrix) and the parser's nesting bound and run of minus
+    signs."""
     spectrum = ["spectrum", "--a=-1/3"]
     return [
         ["susy", "--a=1/0"],
@@ -123,6 +124,11 @@ def error_set() -> list[list[str]]:
         ["scan", f"--a={10**200}", "--points", "3"],
         ["scan", "--source", "bogus", "--points", "3"],
         ["scan", "--source", "bogus", "--zmin", "0", "--points", "3"],
+        ["scan", "--source", "bogus", "--pressures", "0.8,1.2", "--points", "3"],
+        ["scan", f"--a={10**200}", "--zmin", "0", "--pressures", "0.5,0.8",
+         "--points", "3"],
+        ["weyl", "--hamiltonian", "(" * 300 + "x" + ")" * 300],
+        ["weyl", "--hamiltonian=" + "-" * 3000 + "x"],
         ["scan", "--pressure-ratio", "0.5", "--points", "3"],
         ["params", "--config", "@he4"],
         ["spectrum", "--a=-1/3", "--config", "@he4", "--points", "300"],
