@@ -35,7 +35,7 @@ def profile(zs, U0=1.0, c_a=F(-9, 100)):
     return potential_profile(c_a, scales(U0), z_powers(zs))
 
 
-def at(a, source, d, zs):
+def profile_at(a, source, d, zs):
     """The potentials on zs at ordering a with the given source."""
     return potential_profile(inverse_square_coefficient(a, source), d,
                              z_powers(zs))
@@ -230,13 +230,13 @@ class TestProfile:
 
     def test_negative_divergence_near_origin(self):
         d = derived_params(DEFAULT_HE4.with_pressure(0.8 * DEFAULT_HE4.P_v))
-        totals = sum(at(F(-1, 6), "paper", d, [1e-7, 1e-8, 1e-9]))
+        totals = sum(profile_at(F(-1, 6), "paper", d, [1e-7, 1e-8, 1e-9]))
         assert totals[0] > totals[1] > totals[2]
         assert totals[2] < -1e3 * d.U0
 
     def test_single_interior_maximum_of_v_sys(self):
         d = derived_params(DEFAULT_HE4.with_pressure(0.8 * DEFAULT_HE4.P_v))
-        _, vs = at(F(-1, 6), "paper", d, self.grid())
+        _, vs = profile_at(F(-1, 6), "paper", d, self.grid())
         sign_changes = 0
         for i in range(1, len(vs) - 1):
             if vs[i] > vs[i - 1] and vs[i] > vs[i + 1]:
@@ -247,14 +247,14 @@ class TestProfile:
         heights = []
         for ratio in (0.8, 0.95):
             d = derived_params(DEFAULT_HE4.with_pressure(ratio * DEFAULT_HE4.P_v))
-            _, v_sys = at(F(-1, 6), "paper", d, self.grid())
+            _, v_sys = profile_at(F(-1, 6), "paper", d, self.grid())
             heights.append(max(v_sys))
         assert heights[1] > heights[0]
 
     def test_source_selects_coefficient(self):
         d = derived_params(DEFAULT_HE4)
-        paper = at(F(0), "paper", d, [0.5])[0][0]
-        expanded = at(F(0), "expanded", d, [0.5])[0][0]
+        paper = profile_at(F(0), "paper", d, [0.5])[0][0]
+        expanded = profile_at(F(0), "expanded", d, [0.5])[0][0]
         assert paper == pytest.approx(d.k * (-21.0 / 100.0) / 0.25, rel=1e-12, abs=0)
         assert expanded == pytest.approx(d.k * (39.0 / 100.0) / 0.25, rel=1e-12, abs=0)
 
@@ -322,7 +322,7 @@ class TestBarrier:
         d = derived_params(DEFAULT_HE4)
         z_star, v_star = barrier_info(d)
         eps = 1e-6
-        below, at_star, above = at(
+        below, at_star, above = profile_at(
             F(0), "expanded", d, [z_star - eps, z_star, z_star + eps])[1]
         assert at_star == pytest.approx(v_star, rel=1e-12, abs=0)
         assert below < v_star
