@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from itertools import repeat
 
 import numpy as np
 
@@ -145,15 +144,6 @@ def derived_params(p: PhysicalParams) -> DerivedParams:
     return d
 
 
-def _powers(z_list: list[float], e: float, power=pow) -> np.ndarray:
-    """z**e at each point, by Python's float pow.  numpy's array ``**`` differs
-    from it in the last bit at some points, so the potentials take only their
-    powers point by point; every product, sum and quotient after that is done
-    on the arrays in the one-point order, which keeps each entry bit-identical
-    to the one-point value."""
-    return np.fromiter(map(power, z_list, repeat(e)), float, len(z_list))
-
-
 # Column arithmetic overflows to inf and makes nan silently, as Python's float
 # arithmetic does on one point.
 _float_errors = np.errstate(over="ignore", invalid="ignore")
@@ -162,8 +152,8 @@ _float_errors = np.errstate(over="ignore", invalid="ignore")
 @dataclass(frozen=True)
 class ZPowers:
     """A column of z that z_powers accepted, every z in (0, inf) with z**2
-    in the float range, and its powers z**2, z**0.8 and z**0.4 by Python's
-    float pow; one instance serves every table on the same z."""
+    in the float range, and its powers z**2, z**0.8 and z**0.4 with the bits
+    of Python's float pow; one instance serves every table on the same z."""
 
     z: np.ndarray
     z2: np.ndarray
@@ -177,13 +167,12 @@ class ZPowers:
 def z_powers(zs) -> ZPowers:
     """z**2, z**0.8 and z**0.4 on a column of z (see ZPowers).  The first z
     in order that is not in (0, inf), or whose z**2 leaves the float range,
-    is refused."""
+    is refused.  np.float_power's float64 loop calls the C library's pow, as
+    Python's float ``**`` does, so each power has the one-point bits; numpy's
+    own ``**`` loop differs from it in the last bit at some points."""
     z = np.asarray(zs, dtype=float)
-    z_list = z.tolist()
-    try:
-        z2 = _powers(z_list, 2)
-    except OverflowError:  # Python's float pow raises where it overflows
-        z2 = _powers(z_list, 2, _pow_or_inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z2 = np.float_power(z, 2)
     ok = (0 < z) & (z < math.inf) & (0 < z2) & (z2 < math.inf)
     if not ok.all():
         x = float(z[np.argmin(ok)])
@@ -193,7 +182,7 @@ def z_powers(zs) -> ZPowers:
         raise PhysicsError(
             f"inverse-square potential: z**2 out of float range at z = {x:g}"
         )
-    return ZPowers(z, z2, _powers(z_list, 0.8), _powers(z_list, 0.4))
+    return ZPowers(z, z2, np.float_power(z, 0.8), np.float_power(z, 0.4))
 
 
 @_float_errors

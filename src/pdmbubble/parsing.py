@@ -4,9 +4,10 @@ The DSL covers sums of products of rational literals, bound names, x with
 rational powers, and p up to p^2.  Precedence, tightest first: unary minus,
 '^' (binding a single signed factor), '*' and '/', then '+' and '-'.
 Decimal and scientific literals are converted exactly to rationals.
-Two bounds keep a short input from taking unbounded stack or time:
-parentheses nest at most MAX_DEPTH deep, and one product forms at most
-MAX_TERM_PAIRS term pairs.
+Three bounds keep a short input from taking unbounded stack or time:
+parentheses nest at most MAX_DEPTH deep, a literal's decimal exponent is at
+most MAX_EXPONENT in size, and the products of one parse form at most
+MAX_TERM_PAIRS term pairs in all.
 """
 
 from __future__ import annotations
@@ -19,9 +20,13 @@ from .algebra import Coeff, PolyX
 
 #: Deepest parenthesis nesting: the parser recurses once per level.
 MAX_DEPTH = 100
-#: Most term pairs one product may multiply: a sum power's limit applies per
-#: level, so nested powers compound it.
+#: Most term pairs the products of one parse may multiply in all: a sum
+#: power's limit applies per level, so nested powers compound it, and a chain
+#: of products grows with the square of its length.
 MAX_TERM_PAIRS = 65536
+#: Largest |exponent| of a numeric power, and of a literal's decimal exponent:
+#: both are taken exactly.
+MAX_EXPONENT = 4096
 
 
 class ParseError(Exception):
@@ -146,12 +151,11 @@ class _Value:
     def neg(self) -> "_Value":
         return _Value({k: -v for k, v in self.parts.items()})
 
-    def mul(self, other: "_Value", offset: int) -> "_Value":
-        pairs = (sum(len(v.terms) for v in self.parts.values())
-                 * sum(len(v.terms) for v in other.parts.values()))
-        if pairs > MAX_TERM_PAIRS:
-            raise ParseError(offset, f"at most {MAX_TERM_PAIRS} term pairs "
-                             "in a product", str(pairs))
+    def mul(self, other: "_Value", offset: int, spend_pairs) -> "_Value":
+        """self * other, after spend_pairs(term pairs, offset) (see
+        _Parser.spend_pairs)."""
+        spend_pairs(sum(len(v.terms) for v in self.parts.values())
+                    * sum(len(v.terms) for v in other.parts.values()), offset)
         out: dict[int, PolyX] = {}
         for k1, v1 in self.parts.items():
             for k2, v2 in other.parts.items():
@@ -186,7 +190,7 @@ class _Value:
             raise ParseError(offset, "a rational exponent", str(c))
         return c.rational
 
-    def pow(self, exponent: Fraction, offset: int) -> "_Value":
+    def pow(self, exponent: Fraction, offset: int, spend_pairs) -> "_Value":
         if list(self.parts) == [1] and self.parts[1] == PolyX.one():
             # bare p under ^: integer powers up to 2 only
             if exponent.denominator != 1:
@@ -205,10 +209,9 @@ class _Value:
             if c == Coeff.of(1):
                 return _Value({0: PolyX.mono(1, e * exponent)})
             if exponent.denominator == 1:
-                if abs(exponent) > 4096:
-                    raise ParseError(
-                        offset, "a numeric exponent at most 4096", str(exponent)
-                    )
+                if abs(exponent) > MAX_EXPONENT:
+                    raise ParseError(offset, "a numeric exponent at most "
+                                     f"{MAX_EXPONENT}", str(exponent))
                 return _Value(
                     {0: PolyX.mono(_coeff_pow(c, int(exponent)), e * exponent)}
                 )
@@ -223,7 +226,7 @@ class _Value:
             raise ParseError(offset, "a sum exponent at most 16", str(exponent))
         out = _Value.const(Coeff.of(1))
         for _ in range(int(exponent)):
-            out = out.mul(self, offset)
+            out = out.mul(self, offset, spend_pairs)
         return out
 
 
@@ -250,6 +253,17 @@ class _Parser:
         self.pos = 0
         self.bindings = bindings
         self.depth = 0  # of the parentheses open at pos
+        self.pairs = 0  # term pairs multiplied so far
+
+    def spend_pairs(self, pairs: int, offset: int) -> None:
+        """Count a product's term pairs against MAX_TERM_PAIRS per parse."""
+        if pairs > MAX_TERM_PAIRS:
+            raise ParseError(offset, f"at most {MAX_TERM_PAIRS} term pairs "
+                             "in a product", str(pairs))
+        self.pairs += pairs
+        if self.pairs > MAX_TERM_PAIRS:
+            raise ParseError(offset, f"at most {MAX_TERM_PAIRS} term pairs "
+                             "in a parse", str(self.pairs))
 
     def peek(self):
         return self.tokens[self.pos]
@@ -290,7 +304,8 @@ class _Parser:
             if kind == "op" and val in "*/":
                 self.advance()
                 rhs = self.power()
-                value = value.mul(rhs, off) if val == "*" else value.div(rhs, off)
+                value = (value.mul(rhs, off, self.spend_pairs) if val == "*"
+                         else value.div(rhs, off))
             else:
                 return value
 
@@ -300,7 +315,7 @@ class _Parser:
         if kind == "op" and val == "^":
             self.advance()
             exp_val = self.signed()
-            return base.pow(exp_val.as_rational(off), off)
+            return base.pow(exp_val.as_rational(off), off, self.spend_pairs)
         return base
 
     def signed(self) -> _Value:
@@ -314,6 +329,13 @@ class _Parser:
     def primary(self) -> _Value:
         kind, val, off = self.advance()
         if kind == "num":
+            exp = val.lower().partition("e")[2]
+            digits = exp.lstrip("+-").lstrip("0")
+            # length first: int() refuses a string of over 4300 digits
+            if (len(digits) > len(str(MAX_EXPONENT))
+                    or int(digits or 0) > MAX_EXPONENT):
+                raise ParseError(off, "a decimal exponent at most "
+                                 f"{MAX_EXPONENT}", exp)
             return _Value.const(Coeff.of(Fraction(val)))
         if kind == "name":
             if val == "x":
@@ -340,8 +362,8 @@ def parse_hamiltonian(text: str, bindings: dict | None = None) -> ClassicalSymbo
     """Parse a classical-Hamiltonian expression into a ClassicalSymbol.
 
     Raises ParseError (or its UnboundNameError / PPowerError subclasses) on
-    any malformed input or one past MAX_DEPTH or MAX_TERM_PAIRS; parsing is
-    total.
+    any malformed input or one past MAX_DEPTH, MAX_EXPONENT or
+    MAX_TERM_PAIRS; parsing is total.
     """
     tokens = _tokenize(text)
     try:

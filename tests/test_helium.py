@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from dataclasses import asdict
 from fractions import Fraction as F
 
@@ -298,6 +299,23 @@ class TestColumns:
     def test_first_bad_z_in_order_names_the_error(self, zs, message):
         with pytest.raises(PhysicsError, match=re.escape(message)):
             z_powers(zs)
+
+    @pytest.mark.parametrize("e, column", [(2, "z2"), (0.8, "p08"), (0.4, "p04")])
+    def test_float_power_is_python_pow(self, e, column):
+        # z_powers rests on this: np.float_power calls the C library's pow,
+        # as Python's float ** does, over the whole range of z it accepts
+        rng = np.random.default_rng(15)
+        z = np.exp(rng.uniform(math.log(2.3e-162), math.log(1.3e154), 100_000))
+        want = [x**e for x in z.tolist()]
+        assert np.float_power(z, e).tolist() == want
+        assert getattr(z_powers(z), column).tolist() == want
+
+    def test_z2_overflow_warns_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PhysicsError, match=re.escape(
+                    "z**2 out of float range at z = 1e+200")):
+                z_powers([1.0, 1e200])
 
     def test_v_sys_out_of_float_range_names_the_first_z(self):
         with pytest.raises(

@@ -8,6 +8,7 @@ from pdmbubble.algebra import Coeff, PolyX
 from pdmbubble.helium import PhysicalParams, parse_params
 from pdmbubble.parsing import (
     MAX_DEPTH,
+    MAX_EXPONENT,
     MAX_TERM_PAIRS,
     ClassicalSymbol,
     ParseError,
@@ -84,8 +85,9 @@ def monomials(n: int) -> str:
 
 
 class TestBounds:
-    """Nesting and product size are bounded, so a short input can neither
-    overflow the stack nor run without end."""
+    """Nesting, a literal's decimal exponent and the term pairs of a parse are
+    bounded, so a short input can neither overflow the stack nor run without
+    end."""
 
     def test_nesting_at_the_bound_parses(self):
         text = "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH
@@ -134,6 +136,30 @@ class TestBounds:
         with pytest.raises(ParseError) as info:
             parse_hamiltonian("(((x+1)^16)^16)^16")
         assert (info.value.offset, info.value.found) == (15, "66049")
+
+    def test_pair_bound_spans_the_parse(self):
+        # each product of a chain is small, but the pairs of all of them grow
+        # with the square of its length
+        chain = "*".join(["(x+1)^16"] * 20)  # 57443 pairs in all
+        assert len(parse_hamiltonian(chain).part(0).terms) == 321
+        with pytest.raises(ParseError) as info:
+            parse_hamiltonian("*".join(["(x+1)^16"] * 40))
+        assert info.value.expected == (
+            f"at most {MAX_TERM_PAIRS} term pairs in a parse")
+        assert int(info.value.found) > MAX_TERM_PAIRS
+
+    @pytest.mark.parametrize("literal", ["1e4096", "1E-4096", "2.5e+04096"])
+    def test_decimal_exponent_at_the_bound_parses(self, literal):
+        assert MAX_EXPONENT == 4096
+        sym = parse_hamiltonian(f"{literal}*x")
+        assert sym.part(0) == PolyX.mono(F(literal), 1)
+
+    @pytest.mark.parametrize("exponent", ["4097", "-4097", "1000000",
+                                          "9" * 5000])
+    def test_decimal_exponent_past_the_bound_names_the_literal(self, exponent):
+        with pytest.raises(ParseError) as info:
+            parse_hamiltonian(f"x + 1e{exponent}")
+        assert (info.value.offset, info.value.found) == (4, exponent)
 
 
 @st.composite

@@ -47,12 +47,19 @@ SOURCES = ("expanded", "paper")
 
 
 def success_set() -> list[list[str]]:
-    """62 success-path commands: params, weyl, match, and transform, susy,
-    spectrum and scan at eight orderings with both sources."""
+    """65 success-path commands: params, weyl, match, and transform, susy,
+    spectrum and scan at eight orderings with both sources, and three large
+    grids whose z spans many decades."""
     cmds = [["params"], ["params", "--pressure-ratio", "0.8"],
             ["weyl", "--hamiltonian", "p^2/(2*x^3)"],
             ["weyl", "--hamiltonian", "p^2/x^3"],
-            ["match", "--source", "expanded"], ["match", "--source", "paper"]]
+            ["match", "--source", "expanded"], ["match", "--source", "paper"],
+            ["scan", "--zmin", "1e-8", "--zmax", "1e3", "--points", "200000",
+             "--pressures", "0.5,0.9"],
+            ["scan", "--zmin", "1e-150", "--zmax", "1e150",
+             "--points", "50000", "--pressures", "0.5"],
+            ["spectrum", "--a=-2/3", "--zmin", "1e-8", "--zmax", "0.02",
+             "--points", "40000", "--count", "10"]]
     for a in ORDERINGS:
         cmds.append(["transform", f"--a={a}"])
         for source in SOURCES:
