@@ -17,7 +17,7 @@ from typing import Iterable, Union
 RationalLike = Union[int, Fraction]
 
 
-class AlgebraError(Exception):
+class AlgebraError(ValueError):
     """Base class for exact-algebra failures."""
 
 

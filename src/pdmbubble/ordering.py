@@ -26,7 +26,7 @@ from .pointmass import measure_of_map, pm_map, transform_diffop, unit_measure_re
 from .susy import PAPER_QUADRATIC, SOURCE_EXPANDED, normalize_source
 
 
-class MatchError(Exception):
+class MatchError(ValueError):
     """Target operator is not of the expected kinetic-family shape."""
 
 

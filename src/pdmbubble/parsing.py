@@ -1,13 +1,13 @@
 """Recursive-descent parser for the classical-Hamiltonian DSL.
 
-The DSL covers sums of products of rational literals, bound names, x with
-rational powers, and p up to p^2.  Precedence, tightest first: unary minus,
-'^' (binding a single signed factor), '*' and '/', then '+' and '-'.
-Decimal and scientific literals are converted exactly to rationals.
-Three bounds keep a short input from taking unbounded stack or time:
-parentheses nest at most MAX_DEPTH deep, a literal's decimal exponent is at
-most MAX_EXPONENT in size, and the products of one parse form at most
-MAX_TERM_PAIRS term pairs in all.
+The DSL covers sums of products of rational literals, names bound to
+rationals, x with rational powers, and p up to p^2.  Precedence, tightest
+first: unary minus, '^' (binding a single signed factor), '*' and '/', then
+'+' and '-'.  Decimal and scientific literals are converted exactly to
+rationals.  Four bounds keep a short input from taking unbounded stack or
+time: parentheses nest at most MAX_DEPTH deep, a literal has at most
+MAX_DIGITS digits and a decimal exponent at most MAX_EXPONENT in size, and
+the products of one parse form at most MAX_TERM_PAIRS term pairs in all.
 """
 
 from __future__ import annotations
@@ -27,9 +27,12 @@ MAX_TERM_PAIRS = 65536
 #: Largest |exponent| of a numeric power, and of a literal's decimal exponent:
 #: both are taken exactly.
 MAX_EXPONENT = 4096
+#: Most digits of a literal before its exponent: Python refuses to convert a
+#: string of more than 4300 digits to an int.
+MAX_DIGITS = 4096
 
 
-class ParseError(Exception):
+class ParseError(ValueError):
     """Malformed DSL input: carries the offset and what was expected/found."""
 
     def __init__(self, offset: int, expected: str, found: str):
@@ -181,14 +184,9 @@ class _Value:
         if any(k > 0 for k in self.parts):
             raise PPowerError(offset, "p under ^")
         poly = self.parts.get(0, PolyX.zero())
-        if poly.is_zero():
-            return Fraction(0)
         if not poly.is_constant():
             raise ParseError(offset, "a constant exponent", "an x-dependent one")
-        c = poly.coefficient(0)
-        if not c.is_rational():
-            raise ParseError(offset, "a rational exponent", str(c))
-        return c.rational
+        return poly.coefficient(0).rational  # every coefficient is rational
 
     def pow(self, exponent: Fraction, offset: int, spend_pairs) -> "_Value":
         if list(self.parts) == [1] and self.parts[1] == PolyX.one():
@@ -213,7 +211,7 @@ class _Value:
                     raise ParseError(offset, "a numeric exponent at most "
                                      f"{MAX_EXPONENT}", str(exponent))
                 return _Value(
-                    {0: PolyX.mono(_coeff_pow(c, int(exponent)), e * exponent)}
+                    {0: PolyX.mono(c.rational ** int(exponent), e * exponent)}
                 )
             raise ParseError(
                 offset, "an integer exponent on a non-monic base", str(exponent)
@@ -228,23 +226,6 @@ class _Value:
         for _ in range(int(exponent)):
             out = out.mul(self, offset, spend_pairs)
         return out
-
-
-def _coeff_pow(c: Coeff, k: int) -> Coeff:
-    """c**k by squaring; rational bases take the Fraction fast path."""
-    if k < 0:
-        c = Coeff.of(1) / c
-        k = -k
-    if c.is_rational():
-        return Coeff.of(c.rational**k)
-    out = Coeff.of(1)
-    base = c
-    while k:
-        if k & 1:
-            out = out * base
-        base = base * base
-        k >>= 1
-    return out
 
 
 class _Parser:
@@ -329,7 +310,11 @@ class _Parser:
     def primary(self) -> _Value:
         kind, val, off = self.advance()
         if kind == "num":
-            exp = val.lower().partition("e")[2]
+            mantissa, _, exp = val.lower().partition("e")
+            size = len(mantissa) - ("." in mantissa)
+            if size > MAX_DIGITS:
+                raise ParseError(off, f"a literal of at most {MAX_DIGITS} "
+                                 "digits", f"{size} digits")
             digits = exp.lstrip("+-").lstrip("0")
             # length first: int() refuses a string of over 4300 digits
             if (len(digits) > len(str(MAX_EXPONENT))
@@ -343,7 +328,11 @@ class _Parser:
             if val == "p":
                 return _Value({1: PolyX.one()})
             if val in self.bindings:
-                return _Value.const(Coeff.of(self.bindings[val]))
+                c = Coeff.of(self.bindings[val])
+                if not c.is_rational():
+                    raise ParseError(off, "a name bound to a rational",
+                                     f"{val} = {c}")
+                return _Value.const(c)
             raise UnboundNameError(off, val)
         if kind == "op" and val == "(":
             if self.depth == MAX_DEPTH:
@@ -362,8 +351,8 @@ def parse_hamiltonian(text: str, bindings: dict | None = None) -> ClassicalSymbo
     """Parse a classical-Hamiltonian expression into a ClassicalSymbol.
 
     Raises ParseError (or its UnboundNameError / PPowerError subclasses) on
-    any malformed input or one past MAX_DEPTH, MAX_EXPONENT or
-    MAX_TERM_PAIRS; parsing is total.
+    any malformed input, a name bound to an irrational, or one past a bound
+    above; parsing is total.
     """
     tokens = _tokenize(text)
     try:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .algebra import DiffOp, ExactnessError, PolyX, _frac
 
 
-class TransformError(Exception):
+class TransformError(ValueError):
     """Unsupported coordinate transform request."""
 
 

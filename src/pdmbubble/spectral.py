@@ -24,7 +24,7 @@ import numpy as np
 from .algebra import DiffOp, DomainError
 
 
-class AssembleError(Exception):
+class AssembleError(ValueError):
     """Operator cannot be discretized as stated."""
 
 

@@ -68,10 +68,7 @@ def superpotential(mass: PowerLawMass, ord: OrderingParam) -> Superpotential:
     half = (n + 2) / 2
     grow = Coeff.sqrt2(Fraction(1, 1) / (n + 2))
     sing = Coeff.sqrt2(-n * (4 * ord.a + 1) * Fraction(1, 8))
-    terms = [(grow, half)]
-    if not sing.is_zero():
-        terms.append((sing, -half))
-    return Superpotential(W=PolyX(terms))
+    return Superpotential(W=PolyX([(grow, half), (sing, -half)]))
 
 
 def ladder_operator(mass: PowerLawMass, ord: OrderingParam, sign: str) -> DiffOp:

@@ -1,8 +1,8 @@
 """Weyl ordering of classical symbols at most quadratic in p.
 
-Two independent routes are provided: closed-form ordering rules and a
-brute-force symmetrization oracle built from exact operator composition.
-A Hermiticity checker covers both unit and power-law measures.
+Weyl quantization is by closed-form ordering rules (the tests check them
+against explicit symmetrization by exact operator composition).  A
+Hermiticity checker covers both unit and power-law measures.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from .algebra import Coeff, DiffOp, PolyX
 _I = Coeff.imag_unit()
 
 
-class UnsupportedDegreeError(Exception):
+class UnsupportedDegreeError(ValueError):
     """Symbol has p-degree above 2; Weyl rules are not implemented there."""
 
 
@@ -43,25 +43,6 @@ def weyl_order(sym) -> DiffOp:
         else:
             raise UnsupportedDegreeError(f"p^{k} is not supported")
     return out
-
-
-def symmetrization_oracle(f: PolyX, k: int) -> DiffOp:
-    """Independent oracle for the Weyl rule, by explicit symmetrization with
-    P = -i D: k=2 -> (P^2 f + 2 P f P + f P^2)/4; k=1 -> (P f + f P)/2."""
-    if k not in (0, 1, 2):
-        raise UnsupportedDegreeError(f"p^{k} is not supported")
-    p_op = DiffOp.derivative().scale(-_I)
-    f_op = DiffOp.multiplication(f)
-    if k == 0:
-        return f_op
-    if k == 1:
-        return (p_op.compose(f_op) + f_op.compose(p_op)).scale(Fraction(1, 2))
-    p2 = p_op.compose(p_op)
-    return (
-        p2.compose(f_op)
-        + p_op.compose(f_op).compose(p_op).scale(2)
-        + f_op.compose(p2)
-    ).scale(Fraction(1, 4))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import time
@@ -192,6 +194,9 @@ class TestWeyl:
             ("1e1000000*x",
              "at offset 0: expected a decimal exponent at most 4096, "
              "found 1000000"),
+            ("1" * 5000 + "*x",
+             "at offset 0: expected a literal of at most 4096 digits, "
+             "found 5000 digits"),
         ],
     )
     def test_hostile_input_is_one_domain_error(self, text, error):
@@ -788,6 +793,36 @@ class TestUsageErrors:
             _, _, err = invoke(*argv)
             assert err.endswith("\n")
             assert err.count("\n") == 1
+
+
+class TestErrorContract:
+    """run reports every ValueError as a domain error, so the package's own
+    error classes must be ValueErrors for a bad input to end in one line."""
+
+    def test_every_package_error_is_a_value_error(self):
+        classes = [
+            obj
+            for info in pkgutil.iter_modules(pdmbubble.__path__)
+            for module in [importlib.import_module(f"pdmbubble.{info.name}")]
+            for obj in vars(module).values()
+            if isinstance(obj, type) and issubclass(obj, BaseException)
+            and obj.__module__ == module.__name__
+        ]
+        assert cli.UsageError in classes
+        classes.remove(cli.UsageError)
+        assert len(classes) >= 10  # the scan found the modules
+        assert [c for c in classes if not issubclass(c, ValueError)] == []
+
+    @pytest.mark.parametrize("argv", [
+        ("transform", "--a=0", "--pipeline", "transform-first"),
+        ("weyl", "--hamiltonian", "p^3"),
+        ("weyl", "--hamiltonian", "Q*x"),
+    ])
+    def test_reachable_domain_error_is_one_line(self, argv):
+        code, out, err = invoke(*argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: domain: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
 
 class TestParserReuse:

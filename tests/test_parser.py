@@ -8,6 +8,7 @@ from pdmbubble.algebra import Coeff, PolyX
 from pdmbubble.helium import PhysicalParams, parse_params
 from pdmbubble.parsing import (
     MAX_DEPTH,
+    MAX_DIGITS,
     MAX_EXPONENT,
     MAX_TERM_PAIRS,
     ClassicalSymbol,
@@ -40,6 +41,25 @@ class TestParseHamiltonian:
     def test_rational_power_of_x(self):
         sym = parse_hamiltonian("x^(5/2)", {})
         assert sym.part(0) == PolyX.mono(1, F(5, 2))
+
+    def test_name_bound_to_an_irrational_is_refused_at_the_name(self):
+        with pytest.raises(ParseError) as info:
+            parse_hamiltonian("p^2/(2*M*x^3)", {"M": Coeff.sqrt2()})
+        assert (info.value.offset, info.value.expected) == (
+            7, "a name bound to a rational")
+
+    def test_integer_power_of_a_non_monic_base_is_exact(self):
+        sym = parse_hamiltonian("(2*x)^-3", {})
+        assert sym.terms == ((PolyX.mono(F(1, 8), -3), 0),)
+
+    def test_zero_base_under_a_negative_power_is_refused(self):
+        # 0*x has no terms, so it is refused as a sum, not divided by
+        with pytest.raises(ParseError) as info:
+            parse_hamiltonian("(0*x)^-1", {})
+        assert (info.value.offset, info.value.expected) == (
+            5, "a nonnegative integer exponent on a sum")
+        with pytest.raises(ParseError, match="a nonzero divisor, found zero$"):
+            parse_hamiltonian("1/(0*x)", {})
 
     def test_decimal_literals_are_exact(self):
         sym = parse_hamiltonian("0.12e-3*x", {})
@@ -153,6 +173,26 @@ class TestBounds:
         assert MAX_EXPONENT == 4096
         sym = parse_hamiltonian(f"{literal}*x")
         assert sym.part(0) == PolyX.mono(F(literal), 1)
+
+    @pytest.mark.parametrize("literal", ["9" * MAX_DIGITS,
+                                         "0." + "1" * (MAX_DIGITS - 1),
+                                         "5" * (MAX_DIGITS - 1) + ".5e-9"])
+    def test_literal_at_the_digit_bound_parses(self, literal):
+        assert MAX_DIGITS == 4096
+        sym = parse_hamiltonian(f"{literal}*x")
+        assert sym.part(0) == PolyX.mono(F(literal), 1)
+
+    @pytest.mark.parametrize("literal, digits", [
+        ("9" * (MAX_DIGITS + 1), MAX_DIGITS + 1),
+        ("1." + "0" * MAX_DIGITS, MAX_DIGITS + 1),
+        ("1" * 5000 + "e1", 5000),
+    ])
+    def test_literal_past_the_digit_bound_names_the_literal(self, literal,
+                                                            digits):
+        # refused before Fraction: Python's own limit is 4300 digits
+        with pytest.raises(ParseError) as info:
+            parse_hamiltonian(f"x + {literal}")
+        assert (info.value.offset, info.value.found) == (4, f"{digits} digits")
 
     @pytest.mark.parametrize("exponent", ["4097", "-4097", "1000000",
                                           "9" * 5000])

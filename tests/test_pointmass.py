@@ -2,6 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdmbubble.algebra import (
     DiffOp,
@@ -38,6 +39,44 @@ def measure_at(mu, z: float) -> float:
 
 def weyl_kinetic():
     return weyl_order(parse_hamiltonian("p^2/(2*x^3)", {}))
+
+
+def composed_transform(op, cmap) -> DiffOp:
+    """transform_diffop's map in two steps, by the algebra's compose: x = c y
+    takes f x^e D_x^k to f c^(e - k) y^e D_y^k, then y = z^alpha gives
+    d/dy = (1/alpha) z^(1 - alpha) D."""
+    d_y = DiffOp([(PolyX.mono(1 / cmap.alpha, 1 - cmap.alpha), 1)])
+    out = DiffOp.zero()
+    for poly, k in op.terms:
+        d_y_k = DiffOp.identity()
+        for _ in range(k):
+            d_y_k = d_y_k.compose(d_y)
+        for coeff, e in poly.terms:
+            y_e = PolyX.mono(coeff * cmap.c_power(e - k), cmap.alpha * e)
+            out = out + DiffOp.multiplication(y_e).compose(d_y_k)
+    return out
+
+
+def conjugated_by_measure(op, mu) -> DiffOp:
+    """z^(e/2) op z^(-e/2) with e = mu.z_exp: unit_measure_restore by the
+    algebra's compose (mu's constant factor cancels)."""
+    half = mu.z_exp / 2
+    return (DiffOp.multiplication(PolyX.mono(1, half)).compose(op)
+            .compose(DiffOp.multiplication(PolyX.mono(1, -half))))
+
+
+@given(st.sampled_from([F(3), F(5, 2), F(7, 3), F(2), F(1)]),
+       st.fractions(min_value=-2, max_value=2, max_denominator=12))
+@settings(max_examples=60, deadline=None)
+def test_closed_forms_match_the_composed_operators(n, a):
+    """transform_diffop and unit_measure_restore are closed forms of the two
+    compositions above, exactly, over the sandwich family."""
+    cmap = pm_map(n)
+    mu = measure_of_map(cmap)
+    op_x = expand_sandwich(PowerLawMass(n), OrderingParam(a))
+    op_z = transform_diffop(op_x, cmap)
+    assert op_z == composed_transform(op_x, cmap)
+    assert unit_measure_restore(op_z, mu) == conjugated_by_measure(op_z, mu)
 
 
 class TestPmMap:

@@ -6,18 +6,31 @@ from hypothesis import given, settings, strategies as st
 from pdmbubble.algebra import Coeff, DiffOp, PolyX
 from pdmbubble.parsing import ClassicalSymbol, parse_hamiltonian
 from pdmbubble.pointmass import measure_of_map, pm_map, transform_diffop
-from pdmbubble.weyl import (
-    UnsupportedDegreeError,
-    hermiticity_check,
-    symmetrization_oracle,
-    weyl_order,
-)
+from pdmbubble.weyl import UnsupportedDegreeError, hermiticity_check, weyl_order
 
 I = Coeff.imag_unit()
 
 
 def symbol(parts: dict) -> ClassicalSymbol:
     return ClassicalSymbol.from_parts(parts)
+
+
+def symmetrization_oracle(f: PolyX, k: int) -> DiffOp:
+    """The Weyl rule for f(x) p^k, k <= 2, by explicit symmetrization with
+    P = -i D, built from exact operator composition and independent of
+    weyl_order: k=2 -> (P^2 f + 2 P f P + f P^2)/4; k=1 -> (P f + f P)/2."""
+    p_op = DiffOp.derivative().scale(-I)
+    f_op = DiffOp.multiplication(f)
+    if k == 0:
+        return f_op
+    if k == 1:
+        return (p_op.compose(f_op) + f_op.compose(p_op)).scale(F(1, 2))
+    p2 = p_op.compose(p_op)
+    return (
+        p2.compose(f_op)
+        + p_op.compose(f_op).compose(p_op).scale(2)
+        + f_op.compose(p2)
+    ).scale(F(1, 4))
 
 
 WEYL_KINETIC_BRACKET = DiffOp(

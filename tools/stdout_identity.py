@@ -95,8 +95,9 @@ def error_set() -> list[list[str]]:
     """Front-door faults recorded in CHANGES.md, neighbouring bad input, the
     order of the ratio, source, z and c_a errors, a U0 that underflows to 0,
     the edges of the LAPACK call (every level, the smallest grid and a
-    non-finite matrix) and the parser's nesting bound and run of minus
-    signs."""
+    non-finite matrix), the parser's nesting and digit bounds and run of
+    minus signs, and one command per domain-error class the CLI can raise
+    (transform's refused pipeline, p past p^2 and an unbound name)."""
     spectrum = ["spectrum", "--a=-1/3"]
     return [
         ["susy", "--a=1/0"],
@@ -136,6 +137,10 @@ def error_set() -> list[list[str]]:
          "--points", "3"],
         ["weyl", "--hamiltonian", "(" * 300 + "x" + ")" * 300],
         ["weyl", "--hamiltonian=" + "-" * 3000 + "x"],
+        ["weyl", "--hamiltonian", "1" * 5000 + "*x"],
+        ["transform", "--a=0", "--pipeline", "transform-first"],
+        ["weyl", "--hamiltonian", "p^3"],
+        ["weyl", "--hamiltonian", "Q*x"],
         ["scan", "--pressure-ratio", "0.5", "--points", "3"],
         ["params", "--config", "@he4"],
         ["spectrum", "--a=-1/3", "--config", "@he4", "--points", "300"],
