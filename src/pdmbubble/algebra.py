@@ -294,7 +294,7 @@ class PolyX:
 
     # -- arithmetic ----------------------------------------------------------
     def __add__(self, other: "PolyX") -> "PolyX":
-        return PolyX([(c, e) for c, e in self.terms] + [(c, e) for c, e in other.terms])
+        return PolyX(self.terms + other.terms)
 
     def __sub__(self, other: "PolyX") -> "PolyX":
         return self + (-other)
@@ -432,7 +432,7 @@ class DiffOp:
 
     # -- arithmetic -----------------------------------------------------------
     def __add__(self, other: "DiffOp") -> "DiffOp":
-        return DiffOp(list(self.terms) + list(other.terms))
+        return DiffOp(self.terms + other.terms)
 
     def __sub__(self, other: "DiffOp") -> "DiffOp":
         return self + (-other)
@@ -464,16 +464,14 @@ class DiffOp:
         return self.compose(other) - other.compose(self)
 
     def adjoint(self) -> "DiffOp":
-        """Formal adjoint under unit weight: (f D^k)* = (-D)^k conj(f)."""
-        out = DiffOp.zero()
+        """Formal adjoint under unit weight: (f D^k)* = (-1)^k D^k conj(f),
+        normal-ordered by the Leibniz rule in one compose per term."""
+        terms = []
         for f, k in self.terms:
             conj = PolyX([(c.conjugate(), e) for c, e in f.terms])
-            term = DiffOp.multiplication(conj)
-            minus_d = DiffOp.derivative().scale(-1)
-            for _ in range(k):
-                term = minus_d.compose(term)
-            out = out + term
-        return out
+            minus_d_k = DiffOp([(PolyX.const((-1) ** k), k)])
+            terms += minus_d_k.compose(DiffOp.multiplication(conj)).terms
+        return DiffOp(terms)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, DiffOp):

@@ -99,13 +99,6 @@ def _require_finite(**columns) -> None:
             raise PhysicsError(f"{name} out of float range")
 
 
-def _ev(column_J: np.ndarray) -> np.ndarray:
-    """A column in joules, in eV; a value beyond the float range becomes inf
-    silently, for _require_finite to refuse."""
-    with np.errstate(over="ignore"):
-        return column_J / EV
-
-
 def _write_rows(out, columns, prefix: str = "") -> None:
     """One CSV line per row of the columns, prefix first (see
     ``rows.format_rows``), SCAN_CHUNK rows per write."""
@@ -146,6 +139,12 @@ def _bindings(args) -> dict:
 
 
 # ---------------------------------------------------------------- commands
+
+#: The float-error policy of the numeric commands: their arithmetic overflows
+#: to inf and makes nan silently, as Python's float arithmetic does on one
+#: point, and a check refuses the result: z_powers a z grid out of range,
+#: eigenvalues a non-finite matrix, and _require_finite a printed column.
+_float_errors = np.errstate(over="ignore", invalid="ignore")
 
 
 def _cmd_params(args, out) -> int:
@@ -241,6 +240,7 @@ def _cmd_match(args, out) -> int:
     return 0
 
 
+@_float_errors
 def _cmd_spectrum(args, out) -> int:
     _check_points(args.points)
     d = derived_params(_load_params(args))
@@ -251,13 +251,14 @@ def _cmd_spectrum(args, out) -> int:
     v_a, v_sys = potential_profile(c_a, d, z_powers(grid.interior))
     matrix = stencil(-d.k, grid, v_a, v_sys)
     levels = np.array(eigenvalues(matrix, args.count, grid).eigenvalues)
-    levels_eV = _ev(levels)
+    levels_eV = levels / EV
     _require_finite(eigenvalue_J=levels, eigenvalue_eV=levels_eV)
     out.write("index,eigenvalue_J,eigenvalue_eV\n")
     _write_rows(out, (np.arange(len(levels)), levels, levels_eV))
     return 0
 
 
+@_float_errors
 def _cmd_scan(args, out) -> int:
     _check_points(args.points)
     if args.points < 2:
@@ -266,11 +267,9 @@ def _cmd_scan(args, out) -> int:
     base = _load_params(args)
     ratios = sorted(float(r) for r in args.pressures.split(","))
     # the same float operations, in the same order, as
-    # zmin + i * (zmax - zmin) / (points - 1) on Python floats, and as silent
-    # where they overflow or make nan: the z checks below refuse the grid
-    with np.errstate(over="ignore", invalid="ignore"):
-        zs = args.zmin + np.arange(args.points) * (args.zmax - args.zmin) / (
-            args.points - 1)
+    # zmin + i * (zmax - zmin) / (points - 1) on Python floats
+    zs = args.zmin + np.arange(args.points) * (args.zmax - args.zmin) / (
+        args.points - 1)
     # every ratio is validated before the first line is written
     states = [
         (ratio, derived_params(base.with_pressure(ratio * base.P_v)))
@@ -279,10 +278,9 @@ def _cmd_scan(args, out) -> int:
     c_a = inverse_square_coefficient(args.a, args.source)
     powers = z_powers(zs)  # the same for every table
 
-    @np.errstate(over="ignore")  # an inf total is refused with the others
     def table(d):
         v_a, v_sys = potential_profile(c_a, d, powers)
-        columns = (powers.z, _ev(v_a), _ev(v_sys), _ev(v_a + v_sys))
+        columns = (powers.z, v_a / EV, v_sys / EV, (v_a + v_sys) / EV)
         _require_finite(V_a_eV=columns[1], V_sys_eV=columns[2],
                         V_total_eV=columns[3])
         return columns

@@ -164,6 +164,7 @@ class ZPowers:
         return len(self.z)
 
 
+@_float_errors
 def z_powers(zs) -> ZPowers:
     """z**2, z**0.8 and z**0.4 on a column of z (see ZPowers).  The first z
     in order that is not in (0, inf), or whose z**2 leaves the float range,
@@ -171,8 +172,7 @@ def z_powers(zs) -> ZPowers:
     Python's float ``**`` does, so each power has the one-point bits; numpy's
     own ``**`` loop differs from it in the last bit at some points."""
     z = np.asarray(zs, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        z2 = np.float_power(z, 2)
+    z2 = np.float_power(z, 2)
     ok = (0 < z) & (z < math.inf) & (0 < z2) & (z2 < math.inf)
     if not ok.all():
         x = float(z[np.argmin(ok)])

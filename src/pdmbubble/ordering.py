@@ -151,16 +151,9 @@ def match_orderings(n, target: DiffOp, source: str) -> OrderingSolution:
         z_op = unit_measure_restore(
             transform_diffop(target, cmap), measure_of_map(cmap)
         )
-        a2 = z_op.coefficient(2)
-        s2, _ = a2.monomial_parts()
-        c_poly = z_op.coefficient(0)
-        c_val = (
-            Fraction(0)
-            if c_poly.is_zero()
-            else (c_poly.monomial_parts()[0] / s2).rational
-        )
+        # z_op = s [D^2 + c z^-2]: the kinetic family at n = 0, gamma = c
         c2, c1, c0 = PAPER_QUADRATIC
-        c0 -= 100 * c_val
+        c0 -= 100 * _family_scale_and_gamma(Fraction(0), z_op)[1]
     disc, roots = _solve_quadratic(c2, c1, c0)
     checks = tuple(_verify_root(n, a, target, scale) for a in roots)
     return OrderingSolution(

@@ -222,10 +222,10 @@ class _Value:
             )
         if exponent > 16:
             raise ParseError(offset, "a sum exponent at most 16", str(exponent))
-        out = _Value.const(Coeff.of(1))
+        power = _Value.const(Coeff.of(1))
         for _ in range(int(exponent)):
-            out = out.mul(self, offset, spend_pairs)
-        return out
+            power = power.mul(self, offset, spend_pairs)
+        return power
 
 
 class _Parser:

@@ -75,10 +75,10 @@ def measure_of_map(map: CoordinateMap) -> Measure:
 def transform_diffop(op: DiffOp, map: CoordinateMap) -> DiffOp:
     """Rewrite an operator in x as an operator in z under x = c z^alpha.
 
-    Chain rule, applied exactly: d/dx = (dz/dx) d/dz with
-    dz/dx = (1/(c alpha)) z^(1 - alpha), and
-    d^2/dx^2 = (dz/dx)^2 d^2/dz^2 + (d^2 z/dx^2) d/dz with
-    d^2 z/dx^2 = (1 - alpha)/(c^2 alpha^2) z^(1 - 2 alpha).
+    Chain rule, applied exactly: d/dx = (1/(c alpha)) z^(1 - alpha) d/dz, so
+    a term coeff x^e D^k (k <= 2) becomes lead z^(alpha e + k(1 - alpha)) D^k
+    with lead = coeff c^(e - k) / alpha^k, and for k = 2 also
+    (1 - alpha) lead z^(alpha e + 1 - 2 alpha) D, from d^2 z/dx^2.
     """
     if op.order > 2:
         raise TransformError("transform implemented for order <= 2 only")
@@ -88,22 +88,11 @@ def transform_diffop(op: DiffOp, map: CoordinateMap) -> DiffOp:
     out = []
     for poly, k in op.terms:
         for coeff, e in poly.terms:
-            if k == 0:
-                out.append(
-                    (PolyX.mono(coeff * map.c_power(e), alpha * e), 0)
-                )
-            elif k == 1:
-                factor = coeff * map.c_power(e - 1) * (1 / alpha)
-                out.append((PolyX.mono(factor, alpha * e + 1 - alpha), 1))
-            else:
-                base = coeff * map.c_power(e - 2) * (1 / alpha**2)
-                out.append((PolyX.mono(base, alpha * e + 2 - 2 * alpha), 2))
-                out.append(
-                    (
-                        PolyX.mono(base * (1 - alpha), alpha * e + 1 - 2 * alpha),
-                        1,
-                    )
-                )
+            lead = coeff * (map.c_power(e - k) / alpha**k)
+            z_exp = alpha * e + k * (1 - alpha)
+            out.append((PolyX.mono(lead, z_exp), k))
+            if k == 2:
+                out.append((PolyX.mono(lead * (1 - alpha), z_exp - 1), 1))
     return DiffOp(out)
 
 

@@ -25,24 +25,20 @@ def weyl_order(sym) -> DiffOp:
     Rules: f(x) p^2 -> -[f D^2 + f' D + f''/4]; g(x) p -> -i [g D + g'/2];
     h(x) -> multiplication by h.
     """
-    out = DiffOp.zero()
+    terms = []
     for poly, k in sym.terms:
         if k == 0:
-            out = out + DiffOp.multiplication(poly)
+            terms.append((poly, 0))
         elif k == 1:
             d1 = poly.derivative()
-            out = out + DiffOp(
-                [(poly, 1), (d1.scale(Fraction(1, 2)), 0)], prefactor=-_I
-            )
+            terms += [(poly.scale(-_I), 1), (d1.scale(_I * Fraction(-1, 2)), 0)]
         elif k == 2:
             d1 = poly.derivative()
-            d2 = d1.derivative()
-            out = out + DiffOp(
-                [(poly, 2), (d1, 1), (d2.scale(Fraction(1, 4)), 0)], prefactor=-1
-            )
+            terms += [(-poly, 2), (-d1, 1),
+                      (d1.derivative().scale(Fraction(-1, 4)), 0)]
         else:
             raise UnsupportedDegreeError(f"p^{k} is not supported")
-    return out
+    return DiffOp(terms)
 
 
 @dataclass(frozen=True)
