@@ -29,7 +29,7 @@ from .helium import (
     z_powers,
 )
 from .ordering import match_orderings, named_orderings
-from .parsing import parse_hamiltonian
+from .parsing import MAX_DIGITS, literal_past_bounds, parse_hamiltonian
 from .pointmass import (
     TransformError,
     measure_of_map,
@@ -76,10 +76,18 @@ def _fmt(x: float) -> str:
 
 
 def _fraction(text: str) -> Fraction:
+    # --a is squared, then printed: at most MAX_DIGITS // 2 digits a part
+    past = literal_past_bounds(text)
+    if past:
+        raise argparse.ArgumentTypeError("expected %s, found %s" % past)
     try:
-        return Fraction(text)
+        a = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
+    if max(abs(a.numerator), a.denominator) >= 10 ** (MAX_DIGITS // 2):
+        raise argparse.ArgumentTypeError(
+            f"expected at most {MAX_DIGITS // 2} digits a part, found more")
+    return a
 
 
 def _field_strings(obj, fmt) -> dict:
@@ -128,13 +136,16 @@ def _bindings(args) -> dict:
     bindings = {"M0": Coeff.of(1), "U0": Coeff.of(1)}
     for item in getattr(args, "bind", None) or []:
         name, _, value = item.partition("=")
+        past = literal_past_bounds(value)
+        if past:
+            raise UsageError(f"--bind {name}: expected %s, found %s" % past)
         try:
-            rational = _fraction(value)
-        except argparse.ArgumentTypeError:
-            rational = None
-        if not name or rational is None:
-            raise UsageError(f"bad binding {item!r}; expected NAME=RATIONAL")
-        bindings[name] = Coeff.of(rational)
+            if name:
+                bindings[name] = Coeff.of(Fraction(value))
+                continue
+        except (ValueError, ZeroDivisionError):
+            pass
+        raise UsageError(f"bad binding {item!r}; expected NAME=RATIONAL")
     return bindings
 
 

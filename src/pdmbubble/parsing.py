@@ -4,14 +4,16 @@ The DSL covers sums of products of rational literals, names bound to
 rationals, x with rational powers, and p up to p^2.  Precedence, tightest
 first: unary minus, '^' (binding a single signed factor), '*' and '/', then
 '+' and '-'.  Decimal and scientific literals are converted exactly to
-rationals.  Four bounds keep a short input from taking unbounded stack or
-time: parentheses nest at most MAX_DEPTH deep, a literal has at most
-MAX_DIGITS digits and a decimal exponent at most MAX_EXPONENT in size, and
-the products of one parse form at most MAX_TERM_PAIRS term pairs in all.
+rationals.  Bounds keep a short input from taking unbounded stack or time:
+parentheses nest at most MAX_DEPTH deep; a literal (and a CLI rational) has
+at most MAX_DIGITS digits and a decimal exponent at most MAX_EXPONENT in
+size; a numeric power has at most MAX_DIGITS digits; and the products of
+one parse form at most MAX_TERM_PAIRS term pairs in all.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,11 +26,10 @@ MAX_DEPTH = 100
 #: power's limit applies per level, so nested powers compound it, and a chain
 #: of products grows with the square of its length.
 MAX_TERM_PAIRS = 65536
-#: Largest |exponent| of a numeric power, and of a literal's decimal exponent:
-#: both are taken exactly.
+#: Largest |exponent| of a literal's decimal exponent: it is taken exactly.
 MAX_EXPONENT = 4096
-#: Most digits of a literal before its exponent: Python refuses to convert a
-#: string of more than 4300 digits to an int.
+#: Most digits of a literal before its exponent, and of a numeric power:
+#: Python converts no int of more than 4300 digits to or from a string.
 MAX_DIGITS = 4096
 
 
@@ -133,6 +134,21 @@ def _tokenize(text: str):
     return tokens
 
 
+def literal_past_bounds(text: str) -> tuple[str, str] | None:
+    """(expected, found) for the first literal bound that a numeral of a
+    rational's text (two around a '/') breaks, or None; before Fraction."""
+    for numeral in text.split("/"):
+        mantissa, _, exp = numeral.lower().partition("e")
+        size = sum(map(str.isdecimal, mantissa))
+        digits = "".join(filter(str.isdecimal, exp)).lstrip("0")
+        if size > MAX_DIGITS:
+            return f"a literal of at most {MAX_DIGITS} digits", f"{size} digits"
+        # five digits tell: int() refuses a string of over 4300 digits
+        if int(digits[:len(str(MAX_EXPONENT)) + 1] or 0) > MAX_EXPONENT:
+            return f"a decimal exponent at most {MAX_EXPONENT}", exp.strip()
+    return None
+
+
 class _Value:
     """Intermediate parse value: map p_power -> PolyX coefficient."""
 
@@ -202,17 +218,20 @@ class _Value:
         if any(k > 0 for k in self.parts):
             raise PPowerError(offset, "p inside a ^ base")
         poly = self.parts.get(0, PolyX.zero())
+        if poly.is_zero() and exponent < 0:
+            raise ParseError(offset, "a nonzero divisor", "zero")
         if poly.is_monomial():
             c, e = poly.monomial_parts()
             if c == Coeff.of(1):
                 return _Value({0: PolyX.mono(1, e * exponent)})
             if exponent.denominator == 1:
-                if abs(exponent) > MAX_EXPONENT:
-                    raise ParseError(offset, "a numeric exponent at most "
-                                     f"{MAX_EXPONENT}", str(exponent))
-                return _Value(
-                    {0: PolyX.mono(c.rational ** int(exponent), e * exponent)}
-                )
+                r = c.rational  # the digits of r ** k, before it is taken:
+                size = abs(exponent) * Fraction(
+                    math.log10(max(abs(r.numerator), r.denominator)))
+                if size >= MAX_DIGITS:
+                    raise ParseError(offset, f"a power of at most {MAX_DIGITS} "
+                                     "digits", f"{math.floor(size) + 1} digits")
+                return _Value({0: PolyX.mono(r ** int(exponent), e * exponent)})
             raise ParseError(
                 offset, "an integer exponent on a non-monic base", str(exponent)
             )
@@ -310,17 +329,9 @@ class _Parser:
     def primary(self) -> _Value:
         kind, val, off = self.advance()
         if kind == "num":
-            mantissa, _, exp = val.lower().partition("e")
-            size = len(mantissa) - ("." in mantissa)
-            if size > MAX_DIGITS:
-                raise ParseError(off, f"a literal of at most {MAX_DIGITS} "
-                                 "digits", f"{size} digits")
-            digits = exp.lstrip("+-").lstrip("0")
-            # length first: int() refuses a string of over 4300 digits
-            if (len(digits) > len(str(MAX_EXPONENT))
-                    or int(digits or 0) > MAX_EXPONENT):
-                raise ParseError(off, "a decimal exponent at most "
-                                 f"{MAX_EXPONENT}", exp)
+            past = literal_past_bounds(val)
+            if past:
+                raise ParseError(off, *past)
             return _Value.const(Coeff.of(Fraction(val)))
         if kind == "name":
             if val == "x":
@@ -354,9 +365,5 @@ def parse_hamiltonian(text: str, bindings: dict | None = None) -> ClassicalSymbo
     any malformed input, a name bound to an irrational, or one past a bound
     above; parsing is total.
     """
-    tokens = _tokenize(text)
-    try:
-        value = _Parser(tokens, bindings or {}).parse()
-    except ZeroDivisionError:
-        raise ParseError(len(text), "a nonzero divisor", "zero") from None
+    value = _Parser(_tokenize(text), bindings or {}).parse()
     return ClassicalSymbol.from_parts(value.parts)

@@ -423,3 +423,24 @@ diffops = st.lists(
 @given(diffops, diffops)
 def test_compose_matches_per_term_leibniz(left, right):
     assert left.compose(right) == leibniz_reference(left, right)
+
+
+def adjoint_reference(op: DiffOp) -> DiffOp:
+    """(f D^k)* = (-D)^k conj(f), one (-D) composition at a time, summed
+    term by term."""
+    minus_d = DiffOp.derivative().scale(-1)
+    total = DiffOp.zero()
+    for f, k in op.terms:
+        term = DiffOp.multiplication(
+            PolyX([(c.conjugate(), e) for c, e in f.terms]))
+        for _ in range(k):
+            term = minus_d.compose(term)
+        total = total + term
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(diffops)
+def test_adjoint_matches_successive_minus_d(op):
+    # orders 0-3, coefficients with sqrt2 and i parts
+    assert op.adjoint() == adjoint_reference(op)

@@ -197,6 +197,10 @@ class TestWeyl:
             ("1" * 5000 + "*x",
              "at offset 0: expected a literal of at most 4096 digits, "
              "found 5000 digits"),
+            ("(1111111111*x)^4096",
+             "at offset 14: expected a power of at most 4096 digits, "
+             "found 37052 digits"),
+            ("(0*x)^-1", "at offset 5: expected a nonzero divisor, found zero"),
         ],
     )
     def test_hostile_input_is_one_domain_error(self, text, error):
@@ -209,6 +213,16 @@ class TestWeyl:
         code, _, _ = invoke("weyl", "--hamiltonian", "1e10000000*x")
         assert code == 2
         assert time.perf_counter() - start < 0.1
+
+    def test_long_base_power_is_refused_before_it_is_taken(self):
+        # (<4000 ones>*x)^4096 ran 27 s before its size was bounded
+        start = time.perf_counter()
+        code, out, err = invoke("weyl", "--hamiltonian",
+                                "(" + "1" * 4000 + "*x)^4096")
+        assert time.perf_counter() - start < 0.1
+        assert (code, out) == (2, "")
+        assert err.startswith("error: domain: at offset 4004: expected a power")
+        assert err.count("\n") == 1
 
     def test_long_minus_run_parses(self):
         # a run of unary minus is a loop, not one stack frame per sign
@@ -793,6 +807,44 @@ class TestUsageErrors:
             _, _, err = invoke(*argv)
             assert err.endswith("\n")
             assert err.count("\n") == 1
+
+
+class TestRationalOptions:
+    """--a and --bind are read through the parser's literal bounds, and --a,
+    which is squared and printed, has at most MAX_DIGITS // 2 digits a part:
+    a short option builds no number of unbounded size."""
+
+    @pytest.mark.parametrize("argv, error", [
+        (("susy", "--a=1e1000000"), "argument --a: expected a decimal "
+         "exponent at most 4096, found 1000000"),
+        (("susy", "--a=1e10000"), "argument --a: expected a decimal "
+         "exponent at most 4096, found 10000"),
+        (("spectrum", "--a=1/" + "3" * 5000), "argument --a: expected a "
+         "literal of at most 4096 digits, found 5000 digits"),
+        (("transform", "--a=1/" + "3" * 4000), "argument --a: expected at "
+         "most 2048 digits a part, found more"),
+        (("scan", "--a=" + "9" * 2049), "argument --a: expected at most 2048 "
+         "digits a part, found more"),
+        (("weyl", "--hamiltonian", "M*x", "--bind", "M=1e1000000"),
+         "--bind M: expected a decimal exponent at most 4096, found 1000000"),
+        (("weyl", "--hamiltonian", "M*x", "--bind", "M=1/" + "3" * 5000),
+         "--bind M: expected a literal of at most 4096 digits, "
+         "found 5000 digits"),
+    ])
+    def test_past_the_bounds_is_one_usage_error(self, argv, error):
+        start = time.perf_counter()
+        code, out, err = invoke(*argv)
+        assert time.perf_counter() - start < 0.1
+        assert (code, out, err) == (1, "", f"error: usage: {error}\n")
+
+    @pytest.mark.parametrize("command", ["susy", "transform"])
+    def test_a_at_the_digit_bound_is_printed(self, command):
+        a = F(1, 3 * 10**2047)  # a denominator of 2048 digits
+        assert invoke_json(command, f"--a={a}")["a"] == str(a)
+
+    def test_binding_at_the_exponent_bound_is_printed(self):
+        data = invoke_json("weyl", "--hamiltonian", "M*x", "--bind", "M=1e4096")
+        assert data["operator"]["terms"][0]["poly"][0]["p"] == str(10**4096)
 
 
 class TestErrorContract:

@@ -88,6 +88,14 @@ class TestMatchOrderings:
         assert kinetic_family_coefficient(3, F(-1, 6)) == F(7, 4)
         assert kinetic_family_coefficient(3, F(1, 2)) == F(-33, 4)
 
+    def test_paper_reader_at_a_zero_inverse_square_coefficient(self):
+        # at a = -1/4 the restored z operator is s D^2 alone: c = 0
+        target = expand_sandwich(PowerLawMass(3), OrderingParam(F(-1, 4)))
+        sol = match_orderings(3, target, "paper")
+        assert sol.quadratic == (-144, 48, 21)
+        assert sol.root_values == (F(-1, 4), F(7, 12))
+        assert [r.verified for r in sol.roots] == [True, False]
+
     def test_malformed_target_rejected(self):
         with pytest.raises(MatchError):
             match_orderings(3, DiffOp.derivative(2), "expanded")

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +16,7 @@ from pdmbubble.parsing import (
     ParseError,
     PPowerError,
     UnboundNameError,
+    literal_past_bounds,
     parse_hamiltonian,
 )
 
@@ -52,14 +54,18 @@ class TestParseHamiltonian:
         sym = parse_hamiltonian("(2*x)^-3", {})
         assert sym.terms == ((PolyX.mono(F(1, 8), -3), 0),)
 
-    def test_zero_base_under_a_negative_power_is_refused(self):
-        # 0*x has no terms, so it is refused as a sum, not divided by
+    @pytest.mark.parametrize("text, offset", [("(0*x)^-1", 5), ("0^-1", 1),
+                                              ("0^(-1/2)", 1), ("1/(0*x)", 1)])
+    def test_zero_base_under_a_negative_power_is_refused(self, text, offset):
+        # as a zero divisor, at the '^' (or '/'), though 0*x has no terms
         with pytest.raises(ParseError) as info:
-            parse_hamiltonian("(0*x)^-1", {})
-        assert (info.value.offset, info.value.expected) == (
-            5, "a nonnegative integer exponent on a sum")
-        with pytest.raises(ParseError, match="a nonzero divisor, found zero$"):
-            parse_hamiltonian("1/(0*x)", {})
+            parse_hamiltonian(text, {})
+        assert (info.value.offset, info.value.expected, info.value.found) == (
+            offset, "a nonzero divisor", "zero")
+
+    def test_zero_base_under_a_nonnegative_power_parses(self):
+        assert parse_hamiltonian("0^0").terms == ((PolyX.one(), 0),)
+        assert parse_hamiltonian("(0*x)^2").terms == ()
 
     def test_decimal_literals_are_exact(self):
         sym = parse_hamiltonian("0.12e-3*x", {})
@@ -200,6 +206,55 @@ class TestBounds:
         with pytest.raises(ParseError) as info:
             parse_hamiltonian(f"x + 1e{exponent}")
         assert (info.value.offset, info.value.found) == (4, exponent)
+
+    @pytest.mark.parametrize("base, k", [(F(2), 4096), (F(2), -4096),
+                                         (F(2), 13606), (F(-3, 2), 8584),
+                                         (F(-1), 10**400)])
+    def test_numeric_power_at_the_digit_bound_parses(self, base, k):
+        # 2**13606 and 3**8584 are the largest powers of 2 and 3 with 4096 digits
+        sym = parse_hamiltonian(f"({base}*x)^{k}")
+        assert sym.terms == ((PolyX.mono(base ** k, k), 0),)
+
+    @pytest.mark.parametrize("text, found", [
+        ("(2*x)^13607", "4097 digits"),
+        ("(2*x)^-13607", "4097 digits"),
+        ("(1111111111*x)^4096", "37052 digits"),
+    ])
+    def test_numeric_power_past_the_digit_bound_names_the_caret(self, text,
+                                                                found):
+        # estimated from the base and the exponent before the power is taken
+        with pytest.raises(ParseError) as info:
+            parse_hamiltonian(text)
+        assert (info.value.offset, info.value.expected, info.value.found) == (
+            text.index("^"), f"a power of at most {MAX_DIGITS} digits", found)
+
+    def test_numeric_power_past_the_float_range_is_refused(self):
+        with pytest.raises(ParseError) as info:
+            parse_hamiltonian("(2*x)^1e400")
+        digits, unit = info.value.found.split()
+        assert (digits[:4], len(digits), unit) == ("3010", 400, "digits")
+
+    def test_long_base_is_refused_before_its_power_is_taken(self):
+        text = "(" + "1" * 4000 + "*x)^4096"
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as info:
+            parse_hamiltonian(text)
+        assert time.perf_counter() - start < 0.1
+        assert info.value.offset == 4004
+
+    @pytest.mark.parametrize("text, past", [
+        ("-7/3", None),
+        ("1/" + "3" * 4000, None),
+        ("1e4096/1E-4096", None),
+        ("not a number", None),
+        ("1/" + "3" * 5000, (f"a literal of at most {MAX_DIGITS} digits",
+                             "5000 digits")),
+        ("1e1000000", (f"a decimal exponent at most {MAX_EXPONENT}",
+                       "1000000")),
+        ("3/2e-4097", (f"a decimal exponent at most {MAX_EXPONENT}", "-4097")),
+    ])
+    def test_literal_bounds_read_either_side_of_a_slash(self, text, past):
+        assert literal_past_bounds(text) == past
 
 
 @st.composite

@@ -96,8 +96,10 @@ def error_set() -> list[list[str]]:
     order of the ratio, source, z and c_a errors, a U0 that underflows to 0,
     the edges of the LAPACK call (every level, the smallest grid and a
     non-finite matrix), the parser's nesting and digit bounds and run of
-    minus signs, and one command per domain-error class the CLI can raise
-    (transform's refused pipeline, p past p^2 and an unbound name)."""
+    minus signs, one command per domain-error class the CLI can raise
+    (transform's refused pipeline, p past p^2 and an unbound name), and the
+    size bounds of a numeric power, --a and --bind, and a zero base under a
+    negative power."""
     spectrum = ["spectrum", "--a=-1/3"]
     return [
         ["susy", "--a=1/0"],
@@ -173,6 +175,11 @@ def error_set() -> list[list[str]]:
         [*spectrum, "--config", "@u0_zero", "--zmin", "1", "--zmax", "3",
          "--points", "10", "--count", "2"],
         ["params", "--config", "@missing"],
+        ["weyl", "--hamiltonian", "(1111111111*x)^4096"],
+        ["susy", "--a=1e100000"],
+        ["transform", "--a=1/" + "3" * 4000],
+        ["weyl", "--hamiltonian", "M*x", "--bind", "M=1e100000"],
+        ["weyl", "--hamiltonian", "(0*x)^-1"],
     ]
 
 
