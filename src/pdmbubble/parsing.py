@@ -143,7 +143,8 @@ def literal_past_bounds(text: str) -> tuple[str, str] | None:
         digits = "".join(filter(str.isdecimal, exp)).lstrip("0")
         if size > MAX_DIGITS:
             return f"a literal of at most {MAX_DIGITS} digits", f"{size} digits"
-        # five digits tell: int() refuses a string of over 4300 digits
+        # a prefix one digit longer than MAX_EXPONENT tells, and int()
+        # refuses a string of over 4300 digits
         if int(digits[:len(str(MAX_EXPONENT)) + 1] or 0) > MAX_EXPONENT:
             return f"a decimal exponent at most {MAX_EXPONENT}", exp.strip()
     return None
@@ -225,7 +226,7 @@ class _Value:
             if c == Coeff.of(1):
                 return _Value({0: PolyX.mono(1, e * exponent)})
             if exponent.denominator == 1:
-                r = c.rational  # the digits of r ** k, before it is taken:
+                r = c.rational  # r ** k's digits first; k may pass 1e308
                 size = abs(exponent) * Fraction(
                     math.log10(max(abs(r.numerator), r.denominator)))
                 if size >= MAX_DIGITS:
