@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Coeff, PolyX
+from .algebra import Coeff, PolyX, _sum
 
 #: Deepest parenthesis nesting: the parser recurses once per level.
 MAX_DEPTH = 100
@@ -150,121 +150,34 @@ def literal_past_bounds(text: str) -> tuple[str, str] | None:
     return None
 
 
-class _Value:
-    """Intermediate parse value: map p_power -> PolyX coefficient."""
+def _nonzero(parts: dict[int, PolyX]) -> dict[int, PolyX]:
+    """A parse value, p_power -> PolyX, without its zero parts."""
+    return {k: v for k, v in parts.items() if not v.is_zero()}
 
-    __slots__ = ("parts",)
 
-    def __init__(self, parts: dict[int, PolyX]):
-        self.parts = {k: v for k, v in parts.items() if not v.is_zero()}
+def _negated(parts: dict[int, PolyX]) -> dict[int, PolyX]:
+    return {k: -v for k, v in parts.items()}
 
-    @staticmethod
-    def const(c: Coeff) -> "_Value":
-        return _Value({0: PolyX.const(c)})
 
-    def add(self, other: "_Value") -> "_Value":
-        out = dict(self.parts)
-        for k, v in other.parts.items():
-            out[k] = out.get(k, PolyX.zero()) + v
-        return _Value(out)
-
-    def neg(self) -> "_Value":
-        return _Value({k: -v for k, v in self.parts.items()})
-
-    def mul(self, other: "_Value", offset: int, spend_pairs) -> "_Value":
-        """self * other, after spend_pairs(term pairs, offset) (see
-        _Parser.spend_pairs)."""
-        spend_pairs(sum(len(v.terms) for v in self.parts.values())
-                    * sum(len(v.terms) for v in other.parts.values()), offset)
-        out: dict[int, PolyX] = {}
-        for k1, v1 in self.parts.items():
-            for k2, v2 in other.parts.items():
-                k = k1 + k2
-                if k > 2:
-                    raise PPowerError(offset, f"p^{k}")
-                out[k] = out.get(k, PolyX.zero()) + v1 * v2
-        return _Value(out)
-
-    def div(self, other: "_Value", offset: int) -> "_Value":
-        if any(k > 0 for k in other.parts):
-            raise PPowerError(offset, "p in a denominator")
-        poly = other.parts.get(0, PolyX.zero())
-        if poly.is_zero():
-            raise ParseError(offset, "a nonzero divisor", "zero")
-        if not poly.is_monomial():
-            raise ParseError(offset, "a monomial divisor", "a multi-term divisor")
-        c, e = poly.monomial_parts()
-        inv = PolyX.mono(Coeff.of(1) / c, -e)
-        return _Value({k: v * inv for k, v in self.parts.items()})
-
-    def as_rational(self, offset: int) -> Fraction:
-        if any(k > 0 for k in self.parts):
-            raise PPowerError(offset, "p under ^")
-        poly = self.parts.get(0, PolyX.zero())
-        if not poly.is_constant():
-            raise ParseError(offset, "a constant exponent", "an x-dependent one")
-        return poly.coefficient(0).rational  # every coefficient is rational
-
-    def pow(self, exponent: Fraction, offset: int, spend_pairs) -> "_Value":
-        if list(self.parts) == [1] and self.parts[1] == PolyX.one():
-            # bare p under ^: integer powers up to 2 only
-            if exponent.denominator != 1:
-                raise PPowerError(offset, f"p^{exponent}")
-            k = int(exponent)
-            if k < 0:
-                raise PPowerError(offset, "p in a denominator")
-            if k > 2:
-                raise PPowerError(offset, f"p^{k}")
-            return _Value({k: PolyX.one()})
-        if any(k > 0 for k in self.parts):
-            raise PPowerError(offset, "p inside a ^ base")
-        poly = self.parts.get(0, PolyX.zero())
-        if poly.is_zero() and exponent < 0:
-            raise ParseError(offset, "a nonzero divisor", "zero")
-        if poly.is_monomial():
-            c, e = poly.monomial_parts()
-            if c == Coeff.of(1):
-                return _Value({0: PolyX.mono(1, e * exponent)})
-            if exponent.denominator == 1:
-                r = c.rational  # r ** k's digits first; k may pass 1e308
-                size = abs(exponent) * Fraction(
-                    math.log10(max(abs(r.numerator), r.denominator)))
-                if size >= MAX_DIGITS:
-                    raise ParseError(offset, f"a power of at most {MAX_DIGITS} "
-                                     "digits", f"{math.floor(size) + 1} digits")
-                return _Value({0: PolyX.mono(r ** int(exponent), e * exponent)})
-            raise ParseError(
-                offset, "an integer exponent on a non-monic base", str(exponent)
-            )
-        if exponent.denominator != 1 or exponent < 0:
-            raise ParseError(
-                offset, "a nonnegative integer exponent on a sum", str(exponent)
-            )
-        if exponent > 16:
-            raise ParseError(offset, "a sum exponent at most 16", str(exponent))
-        power = _Value.const(Coeff.of(1))
-        for _ in range(int(exponent)):
-            power = power.mul(self, offset, spend_pairs)
-        return power
+def _merge(values: list[dict[int, PolyX]]) -> dict[int, PolyX]:
+    """The sum of parse values, each p_power's part merged once."""
+    collected: dict[int, list[PolyX]] = {}
+    for parts in values:
+        for k, v in parts.items():
+            collected.setdefault(k, []).append(v)
+    return _nonzero({k: _sum(v) for k, v in collected.items()})
 
 
 class _Parser:
+    """Parses into parse values: ClassicalSymbol's parts, p_power -> PolyX,
+    with no zero part."""
+
     def __init__(self, tokens, bindings):
         self.tokens = tokens
         self.pos = 0
         self.bindings = bindings
         self.depth = 0  # of the parentheses open at pos
         self.pairs = 0  # term pairs multiplied so far
-
-    def spend_pairs(self, pairs: int, offset: int) -> None:
-        """Count a product's term pairs against MAX_TERM_PAIRS per parse."""
-        if pairs > MAX_TERM_PAIRS:
-            raise ParseError(offset, f"at most {MAX_TERM_PAIRS} term pairs "
-                             "in a product", str(pairs))
-        self.pairs += pairs
-        if self.pairs > MAX_TERM_PAIRS:
-            raise ParseError(offset, f"at most {MAX_TERM_PAIRS} term pairs "
-                             "in a parse", str(self.pairs))
 
     def peek(self):
         return self.tokens[self.pos]
@@ -280,71 +193,141 @@ class _Parser:
             return self.advance()
         raise ParseError(off, repr(op), repr(val) if val else "end of input")
 
-    def parse(self) -> _Value:
+    # -- arithmetic on parse values, each at its operator's offset ----------
+    def mul(self, a: dict, b: dict, offset: int) -> dict:
+        """a * b, its term pairs counted against MAX_TERM_PAIRS per parse."""
+        self.pairs += math.prod(sum(len(v.terms) for v in side.values())
+                                for side in (a, b))
+        if self.pairs > MAX_TERM_PAIRS:
+            raise ParseError(offset, f"at most {MAX_TERM_PAIRS} term pairs "
+                             "in a parse", str(self.pairs))
+        cross = []
+        for k1, v1 in a.items():
+            for k2, v2 in b.items():
+                if k1 + k2 > 2:
+                    raise PPowerError(offset, f"p^{k1 + k2}")
+                cross.append({k1 + k2: v1 * v2})
+        return _merge(cross)
+
+    def div(self, a: dict, b: dict, offset: int) -> dict:
+        if any(k > 0 for k in b):
+            raise PPowerError(offset, "p in a denominator")
+        if not b:
+            raise ParseError(offset, "a nonzero divisor", "zero")
+        if not b[0].is_monomial():
+            raise ParseError(offset, "a monomial divisor", "a multi-term divisor")
+        c, e = b[0].monomial_parts()
+        inv = PolyX.mono(Coeff.of(1) / c, -e)
+        return {k: v * inv for k, v in a.items()}
+
+    def as_rational(self, value: dict, offset: int) -> Fraction:
+        if any(k > 0 for k in value):
+            raise PPowerError(offset, "p under ^")
+        poly = value.get(0, PolyX.zero())
+        if not poly.is_constant():
+            raise ParseError(offset, "a constant exponent", "an x-dependent one")
+        return poly.coefficient(0).rational  # every coefficient is rational
+
+    def pow(self, base: dict, exponent: Fraction, offset: int) -> dict:
+        if base == {1: PolyX.one()}:
+            # bare p under ^: integer powers up to 2 only
+            if exponent.denominator != 1:
+                raise PPowerError(offset, f"p^{exponent}")
+            k = int(exponent)
+            if k < 0:
+                raise PPowerError(offset, "p in a denominator")
+            if k > 2:
+                raise PPowerError(offset, f"p^{k}")
+            return {k: PolyX.one()}
+        if any(k > 0 for k in base):
+            raise PPowerError(offset, "p inside a ^ base")
+        poly = base.get(0, PolyX.zero())
+        if poly.is_zero() and exponent < 0:
+            raise ParseError(offset, "a nonzero divisor", "zero")
+        if poly.is_monomial():
+            c, e = poly.monomial_parts()
+            if c == Coeff.of(1):
+                return {0: PolyX.mono(1, e * exponent)}
+            if exponent.denominator == 1:
+                r = c.rational  # r ** k's digits first; k may pass 1e308
+                size = abs(exponent) * Fraction(
+                    math.log10(max(abs(r.numerator), r.denominator)))
+                if size >= MAX_DIGITS:
+                    raise ParseError(offset, f"a power of at most {MAX_DIGITS} "
+                                     "digits", f"{math.floor(size) + 1} digits")
+                return {0: PolyX.mono(r ** int(exponent), e * exponent)}
+            raise ParseError(
+                offset, "an integer exponent on a non-monic base", str(exponent)
+            )
+        if exponent.denominator != 1 or exponent < 0:
+            raise ParseError(
+                offset, "a nonnegative integer exponent on a sum", str(exponent)
+            )
+        if exponent > 16:
+            raise ParseError(offset, "a sum exponent at most 16", str(exponent))
+        power = {0: PolyX.one()}
+        for _ in range(int(exponent)):
+            power = self.mul(power, base, offset)
+        return power
+
+    # -- grammar ---------------------------------------------------------------
+    def parse(self) -> dict:
         value = self.expr()
         kind, val, off = self.peek()
         if kind != "end":
             raise ParseError(off, "end of input", repr(val))
         return value
 
-    def expr(self) -> _Value:
-        value = self.term()
-        while True:
-            kind, val, off = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                rhs = self.term()
-                value = value.add(rhs if val == "+" else rhs.neg())
-            else:
-                return value
+    def expr(self) -> dict:
+        terms = [self.term()]
+        while self.peek()[:2] in (("op", "+"), ("op", "-")):
+            sign = self.advance()[1]
+            rhs = self.term()
+            terms.append(rhs if sign == "+" else _negated(rhs))
+        return _merge(terms)
 
-    def term(self) -> _Value:
+    def term(self) -> dict:
         value = self.power()
-        while True:
-            kind, val, off = self.peek()
-            if kind == "op" and val in "*/":
-                self.advance()
-                rhs = self.power()
-                value = (value.mul(rhs, off, self.spend_pairs) if val == "*"
-                         else value.div(rhs, off))
-            else:
-                return value
+        while self.peek()[:2] in (("op", "*"), ("op", "/")):
+            _, op, off = self.advance()
+            rhs = self.power()
+            value = (self.mul(value, rhs, off) if op == "*"
+                     else self.div(value, rhs, off))
+        return value
 
-    def power(self) -> _Value:
+    def power(self) -> dict:
         base = self.signed()
-        kind, val, off = self.peek()
-        if kind == "op" and val == "^":
-            self.advance()
-            exp_val = self.signed()
-            return base.pow(exp_val.as_rational(off), off, self.spend_pairs)
-        return base
+        if self.peek()[:2] != ("op", "^"):
+            return base
+        off = self.advance()[2]
+        return self.pow(base, self.as_rational(self.signed(), off), off)
 
-    def signed(self) -> _Value:
+    def signed(self) -> dict:
         negate = False
         while self.peek()[:2] == ("op", "-"):
             self.advance()
             negate = not negate
         value = self.primary()
-        return value.neg() if negate else value
+        return _negated(value) if negate else value
 
-    def primary(self) -> _Value:
+    def primary(self) -> dict:
         kind, val, off = self.advance()
         if kind == "num":
             past = literal_past_bounds(val)
             if past:
                 raise ParseError(off, *past)
-            return _Value.const(Coeff.of(Fraction(val)))
+            return _nonzero({0: PolyX.const(Fraction(val))})
         if kind == "name":
             if val == "x":
-                return _Value({0: PolyX.mono(1, 1)})
+                return {0: PolyX.mono(1, 1)}
             if val == "p":
-                return _Value({1: PolyX.one()})
+                return {1: PolyX.one()}
             if val in self.bindings:
                 c = Coeff.of(self.bindings[val])
                 if not c.is_rational():
                     raise ParseError(off, "a name bound to a rational",
                                      f"{val} = {c}")
-                return _Value.const(c)
+                return _nonzero({0: PolyX.const(c)})
             raise UnboundNameError(off, val)
         if kind == "op" and val == "(":
             if self.depth == MAX_DEPTH:
@@ -366,5 +349,5 @@ def parse_hamiltonian(text: str, bindings: dict | None = None) -> ClassicalSymbo
     any malformed input, a name bound to an irrational, or one past a bound
     above; parsing is total.
     """
-    value = _Parser(_tokenize(text), bindings or {}).parse()
-    return ClassicalSymbol.from_parts(value.parts)
+    parts = _Parser(_tokenize(text), bindings or {}).parse()
+    return ClassicalSymbol.from_parts(parts)

@@ -189,8 +189,8 @@ class TestWeyl:
              "at offset 100: expected parentheses nested at most 100 deep, "
              "found '('"),
             ("(((x+1)^16)^16)^16",
-             "at offset 15: expected at most 65536 term pairs in a product, "
-             "found 66049"),
+             "at offset 15: expected at most 65536 term pairs in a parse, "
+             "found 99490"),
             ("1e1000000*x",
              "at offset 0: expected a decimal exponent at most 4096, "
              "found 1000000"),

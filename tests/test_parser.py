@@ -160,7 +160,8 @@ class TestBounds:
         assert len(sym.part(0).terms) == 257
         with pytest.raises(ParseError) as info:
             parse_hamiltonian("(((x+1)^16)^16)^16")
-        assert (info.value.offset, info.value.found) == (15, "66049")
+        # the running total: 272 + 32912 pairs inside, then 257 + 66049
+        assert (info.value.offset, info.value.found) == (15, "99490")
 
     def test_pair_bound_spans_the_parse(self):
         # each product of a chain is small, but the pairs of all of them grow
