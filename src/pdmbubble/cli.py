@@ -29,7 +29,12 @@ from .helium import (
     z_powers,
 )
 from .ordering import match_orderings, named_orderings
-from .parsing import MAX_DIGITS, literal_past_bounds, parse_hamiltonian
+from .parsing import (
+    MAX_DIGITS,
+    literal_past_bounds,
+    parse_hamiltonian,
+    rational_past_bound,
+)
 from .pointmass import (
     TransformError,
     measure_of_map,
@@ -57,6 +62,9 @@ DOMAIN_ERRORS = (ValueError, ZeroDivisionError)
 #: Upper bound on --points for spectrum and scan: the grid, the matrix and
 #: the potential columns are all held in memory.
 MAX_POINTS = 10**6
+
+#: Most characters of a --config file read: a longer one is refused.
+MAX_CONFIG_CHARS = 1 << 20
 
 #: Rows of a spectrum or scan table formatted per write: the text held in
 #: memory stays bounded whatever --points or --count is.
@@ -123,7 +131,12 @@ def _emit_json(data, out) -> None:
 def _load_params(args):
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            params = parse_params(fh.read())
+            text = fh.read(MAX_CONFIG_CHARS + 1)
+        if len(text) > MAX_CONFIG_CHARS:
+            raise ValueError(
+                f"--config: expected a file of at most {MAX_CONFIG_CHARS} "
+                "characters, found more")
+        params = parse_params(text)
     else:
         params = DEFAULT_HE4
     ratio = getattr(args, "pressure_ratio", None)
@@ -137,15 +150,17 @@ def _bindings(args) -> dict:
     for item in getattr(args, "bind", None) or []:
         name, _, value = item.partition("=")
         past = literal_past_bounds(value)
+        if not past:
+            try:
+                r = Fraction(value)
+            except (ValueError, ZeroDivisionError):
+                r = None
+            if r is None or not name:
+                raise UsageError(f"bad binding {item!r}; expected NAME=RATIONAL")
+            past = rational_past_bound(r)
         if past:
             raise UsageError(f"--bind {name}: expected %s, found %s" % past)
-        try:
-            if name:
-                bindings[name] = Coeff.of(Fraction(value))
-                continue
-        except (ValueError, ZeroDivisionError):
-            pass
-        raise UsageError(f"bad binding {item!r}; expected NAME=RATIONAL")
+        bindings[name] = Coeff.of(r)
     return bindings
 
 

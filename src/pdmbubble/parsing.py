@@ -4,11 +4,15 @@ The DSL covers sums of products of rational literals, names bound to
 rationals, x with rational powers, and p up to p^2.  Precedence, tightest
 first: unary minus, '^' (binding a single signed factor), '*' and '/', then
 '+' and '-'.  Decimal and scientific literals are converted exactly to
-rationals.  Bounds keep a short input from taking unbounded stack or time:
-parentheses nest at most MAX_DEPTH deep; a literal (and a CLI rational) has
-at most MAX_DIGITS digits and a decimal exponent at most MAX_EXPONENT in
-size; a numeric power has at most MAX_DIGITS digits; and the products of
-one parse form at most MAX_TERM_PAIRS term pairs in all.
+rationals.  The parser builds ClassicalSymbol's parts, p_power -> PolyX,
+directly: a sum collects its terms and a product its cross products, and
+each p_power's part is merged once.  Bounds keep a short input from taking
+unbounded stack or time: parentheses nest at most MAX_DEPTH deep; a literal
+(and a CLI rational) has at most MAX_DIGITS digits and a decimal exponent
+at most MAX_EXPONENT in size; a numeric power has at most MAX_DIGITS
+digits; every rational built, from a literal or a bound name, at a product,
+quotient, power or sum, has at most MAX_RATIONAL_DIGITS digits a part; and
+the products of one parse form at most MAX_TERM_PAIRS term pairs in all.
 """
 
 from __future__ import annotations
@@ -31,6 +35,11 @@ MAX_EXPONENT = 4096
 #: Most digits of a literal before its exponent, and of a numeric power:
 #: Python converts no int of more than 4300 digits to or from a string.
 MAX_DIGITS = 4096
+#: Most digits of the numerator and of the denominator of every rational a
+#: parse builds, coefficient or exponent of x, so that each one prints: a
+#: product, quotient or sum of bounded literals may pass MAX_DIGITS.
+MAX_RATIONAL_DIGITS = 4300
+_RATIONAL_LIMIT = 10 ** MAX_RATIONAL_DIGITS
 
 
 class ParseError(ValueError):
@@ -168,6 +177,25 @@ def _merge(values: list[dict[int, PolyX]]) -> dict[int, PolyX]:
     return _nonzero({k: _sum(v) for k, v in collected.items()})
 
 
+def rational_past_bound(r: Fraction) -> tuple[str, str] | None:
+    """(expected, found) if r's numerator or denominator has more than
+    MAX_RATIONAL_DIGITS digits, or None; r itself is never printed."""
+    if max(abs(r.numerator), r.denominator) < _RATIONAL_LIMIT:
+        return None
+    return f"a rational of at most {MAX_RATIONAL_DIGITS} digits a part", "more"
+
+
+def _bounded(parts: dict[int, PolyX], offset: int) -> dict[int, PolyX]:
+    """parts, once no coefficient or exponent in it is past
+    MAX_RATIONAL_DIGITS (a ParseError at offset otherwise)."""
+    for poly in parts.values():
+        for c, e in poly.terms:
+            past = rational_past_bound(c.rational) or rational_past_bound(e)
+            if past:
+                raise ParseError(offset, *past)
+    return parts
+
+
 class _Parser:
     """Parses into parse values: ClassicalSymbol's parts, p_power -> PolyX,
     with no zero part."""
@@ -207,7 +235,7 @@ class _Parser:
                 if k1 + k2 > 2:
                     raise PPowerError(offset, f"p^{k1 + k2}")
                 cross.append({k1 + k2: v1 * v2})
-        return _merge(cross)
+        return _bounded(_merge(cross), offset)
 
     def div(self, a: dict, b: dict, offset: int) -> dict:
         if any(k > 0 for k in b):
@@ -217,8 +245,8 @@ class _Parser:
         if not b[0].is_monomial():
             raise ParseError(offset, "a monomial divisor", "a multi-term divisor")
         c, e = b[0].monomial_parts()
-        inv = PolyX.mono(Coeff.of(1) / c, -e)
-        return {k: v * inv for k, v in a.items()}
+        inv = PolyX.mono(1 / c.rational, -e)
+        return _bounded({k: v * inv for k, v in a.items()}, offset)
 
     def as_rational(self, value: dict, offset: int) -> Fraction:
         if any(k > 0 for k in value):
@@ -247,7 +275,7 @@ class _Parser:
         if poly.is_monomial():
             c, e = poly.monomial_parts()
             if c == Coeff.of(1):
-                return {0: PolyX.mono(1, e * exponent)}
+                return _bounded({0: PolyX.mono(1, e * exponent)}, offset)
             if exponent.denominator == 1:
                 r = c.rational  # r ** k's digits first; k may pass 1e308
                 size = abs(exponent) * Fraction(
@@ -255,7 +283,8 @@ class _Parser:
                 if size >= MAX_DIGITS:
                     raise ParseError(offset, f"a power of at most {MAX_DIGITS} "
                                      "digits", f"{math.floor(size) + 1} digits")
-                return {0: PolyX.mono(r ** int(exponent), e * exponent)}
+                return _bounded({0: PolyX.mono(r ** int(exponent),
+                                               e * exponent)}, offset)
             raise ParseError(
                 offset, "an integer exponent on a non-monic base", str(exponent)
             )
@@ -280,11 +309,14 @@ class _Parser:
 
     def expr(self) -> dict:
         terms = [self.term()]
+        offset = self.peek()[2]  # of a sum's first '+' or '-'
         while self.peek()[:2] in (("op", "+"), ("op", "-")):
             sign = self.advance()[1]
             rhs = self.term()
             terms.append(rhs if sign == "+" else _negated(rhs))
-        return _merge(terms)
+        if len(terms) == 1:
+            return terms[0]
+        return _bounded(_merge(terms), offset)
 
     def term(self) -> dict:
         value = self.power()
@@ -316,7 +348,7 @@ class _Parser:
             past = literal_past_bounds(val)
             if past:
                 raise ParseError(off, *past)
-            return _nonzero({0: PolyX.const(Fraction(val))})
+            return _bounded(_nonzero({0: PolyX.const(Fraction(val))}), off)
         if kind == "name":
             if val == "x":
                 return {0: PolyX.mono(1, 1)}
@@ -327,7 +359,7 @@ class _Parser:
                 if not c.is_rational():
                     raise ParseError(off, "a name bound to a rational",
                                      f"{val} = {c}")
-                return _nonzero({0: PolyX.const(c)})
+                return _bounded(_nonzero({0: PolyX.const(c)}), off)
             raise UnboundNameError(off, val)
         if kind == "op" and val == "(":
             if self.depth == MAX_DEPTH:

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 import pdmbubble
 from pdmbubble.algebra import OrderingParam
 from pdmbubble import cli
-from pdmbubble.cli import MAX_POINTS, run
+from pdmbubble.cli import MAX_CONFIG_CHARS, MAX_POINTS, run
 from pdmbubble.helium import DEFAULT_HE4, EV, derived_params
 from pdmbubble.spectral import Grid, SymTriMatrix, assemble, eigenvalues
 from pdmbubble.susy import inverse_square_coefficient, z_space_operator
@@ -35,6 +35,9 @@ def invoke_json(*argv):
     assert code == 0, err
     return json.loads(out)
 
+
+#: A 4096-digit literal, the longest the DSL reads.
+NINES = "9" * 4096
 
 HE4_CONFIG = """\
 # typical superfluid helium values at 4 K
@@ -82,6 +85,16 @@ class TestParams:
         code, out, err = invoke("params", "--config", str(cfg))
         assert code == 2
         assert err.startswith("error: domain:")
+
+    def test_config_past_the_size_bound_is_one_domain_error(self, tmp_path):
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text("#" * MAX_CONFIG_CHARS)  # read, then refused by keys
+        assert invoke("params", "--config", str(cfg)) == (
+            2, "", "error: domain: missing key sigma\n")
+        cfg.write_text("#" * (MAX_CONFIG_CHARS + 1))
+        assert invoke("params", "--config", str(cfg)) == (
+            2, "", f"error: domain: --config: expected a file of at most "
+            f"{MAX_CONFIG_CHARS} characters, found more\n")
 
     def test_superheated_required(self):
         code, out, err = invoke("params", "--pressure-ratio", "1.2")
@@ -223,6 +236,25 @@ class TestWeyl:
         assert (code, out) == (2, "")
         assert err.startswith("error: domain: at offset 4004: expected a power")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, code, error", [
+        (("--hamiltonian", NINES + "*" + NINES + "*x"), 2,
+         "domain: at offset 4096: expected a rational of at most 4300 digits "
+         "a part, found more"),
+        (("--hamiltonian", NINES + "e4096*x"), 2,
+         "domain: at offset 0: expected a rational of at most 4300 digits a "
+         "part, found more"),
+        (("--hamiltonian", "M*x", "--bind", f"M={NINES}e4096"), 1,
+         "usage: --bind M: expected a rational of at most 4300 digits a "
+         "part, found more"),
+    ])
+    def test_oversized_coefficient_is_one_error_at_once(self, argv, code,
+                                                        error):
+        # each built an 8192-digit int that Python would not print
+        start = time.perf_counter()
+        got = invoke("weyl", *argv)
+        assert time.perf_counter() - start < 0.1
+        assert got == (code, "", f"error: {error}\n")
 
     def test_long_minus_run_parses(self):
         # a run of unary minus is a loop, not one stack frame per sign

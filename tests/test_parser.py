@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +11,7 @@ from pdmbubble.parsing import (
     MAX_DEPTH,
     MAX_DIGITS,
     MAX_EXPONENT,
+    MAX_RATIONAL_DIGITS,
     MAX_TERM_PAIRS,
     ClassicalSymbol,
     ParseError,
@@ -17,6 +19,7 @@ from pdmbubble.parsing import (
     UnboundNameError,
     literal_past_bounds,
     parse_hamiltonian,
+    rational_past_bound,
 )
 
 UNIT_BINDINGS = {"M0": Coeff.of(1), "U0": Coeff.of(1)}
@@ -107,6 +110,59 @@ class TestParseHamiltonian:
 def monomials(n: int) -> str:
     """A sum of n distinct powers of x, in parentheses."""
     return "(" + "+".join(f"x^{i}" for i in range(1, n + 1)) + ")"
+
+
+#: Terms of a drawn sum: few enough that parts repeat and cancel, some with
+#: p, some with several parts and some zero.
+SUM_TERMS = st.one_of(
+    st.builds("{}*x^({}){}".format,
+              st.sampled_from(["1", "2", "1/2", "0", "(1-x)^2"]),
+              st.sampled_from(["0", "1", "-2", "1/3"]),
+              st.sampled_from(["", "*p", "*p^2"])),
+    st.sampled_from(["(x+p)", "(p+1)*p", "-(x-p^2)", "x*(p-p)"]),
+)
+
+
+class TestSums:
+    """A sum is merged once, and equals its terms added one by one."""
+
+    @given(st.lists(st.tuples(st.sampled_from("+-"), SUM_TERMS),
+                    min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_a_sum_is_its_terms_added_pairwise(self, signed_terms):
+        text = signed_terms[0][1] + "".join(
+            f" {sign} {term}" for sign, term in signed_terms[1:])
+        parts = {}
+        for i, (sign, term) in enumerate(signed_terms):
+            sym = parse_hamiltonian(term)
+            for k in range(3):
+                part = sym.part(k) if sign == "+" or i == 0 else -sym.part(k)
+                parts[k] = parts.get(k, PolyX.zero()) + part
+        assert parse_hamiltonian(text) == ClassicalSymbol.from_parts(parts)
+
+    def test_a_zero_divisor_part_is_refused(self):
+        with pytest.raises(ParseError) as info:
+            parse_hamiltonian("1/(p-p)")
+        assert (info.value.offset, info.value.expected) == (
+            1, "a nonzero divisor")
+
+    @pytest.mark.parametrize("text", ["(p-p)^3", "x^2*(p-p)", "(p^2-p^2)*p"])
+    def test_a_cancelled_part_is_zero(self, text):
+        assert parse_hamiltonian(text) == ClassicalSymbol(())
+
+    def test_a_cancelled_part_under_a_power(self):
+        assert parse_hamiltonian("x^(1/(p-p+1))") == parse_hamiltonian("x")
+
+    def test_a_long_sum_is_merged_once(self):
+        # merged at every '+', 4000 distinct powers took 11 s
+        text = monomials(4000)
+        start = time.perf_counter()
+        sym = parse_hamiltonian(text)
+        assert time.perf_counter() - start < 2
+        assert len(sym.part(0).terms) == 4000
+
+
+NINES = "9" * MAX_DIGITS
 
 
 class TestBounds:
@@ -233,6 +289,37 @@ class TestBounds:
             parse_hamiltonian("(2*x)^1e400")
         digits, unit = info.value.found.split()
         assert (digits[:4], len(digits), unit) == ("3010", 400, "digits")
+
+    @pytest.mark.parametrize("r, past", [
+        (F(10**MAX_RATIONAL_DIGITS - 1, 10**MAX_RATIONAL_DIGITS - 2), False),
+        (F(-(10**MAX_RATIONAL_DIGITS), 3), True),
+        (F(1, 10**MAX_RATIONAL_DIGITS), True),
+    ])
+    def test_rational_bound_reads_either_part(self, r, past):
+        assert bool(rational_past_bound(r)) == past
+
+    @pytest.mark.parametrize("text, offset", [
+        (NINES + "*" + NINES + "*x", len(NINES)),  # a product
+        (NINES + "e4096*x", 0),  # a literal
+        ("1e-4096/" + NINES, 7),  # a quotient
+        ("1/" + NINES + " + 1/" + "9" * 4095 + "8", len(NINES) + 3),  # a sum
+        ("1+(x^(" + NINES + "))^(" + NINES + ")", len(NINES) + 8),  # a power
+        ("x^(1/" + NINES + ")*x^(1/" + "9" * 4095 + "8)", len(NINES) + 6),
+        ("M*x", 0),  # a bound name
+    ])
+    def test_rational_past_the_bound_names_its_operator(self, text, offset):
+        with pytest.raises(ParseError) as info:
+            parse_hamiltonian(text, {"M": F(NINES) * 10**4096})
+        assert (info.value.offset, info.value.expected, info.value.found) == (
+            offset, f"a rational of at most {MAX_RATIONAL_DIGITS} digits a "
+            "part", "more")
+
+    def test_rational_at_the_bound_parses(self):
+        # 4096 nines times 10**204: 4300 digits; ten times more is refused
+        sym = parse_hamiltonian(NINES + "*1e204*x")
+        assert sym.part(0) == PolyX.mono(F(NINES) * 10**204, 1)
+        with pytest.raises(ParseError):
+            parse_hamiltonian(NINES + "*1e204*x*10")
 
     @pytest.mark.parametrize("text, past", [
         ("-7/3", None),

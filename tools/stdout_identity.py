@@ -46,13 +46,24 @@ ORDERINGS = ("-1/3", "0", "1/2", "-1/6", "-2/3", "1/6", "7/24", "-5/11")
 SOURCES = ("expanded", "paper")
 
 
+def long_sum() -> str:
+    """A sum of 1000 terms whose parts repeat, cancel and carry p and p^2."""
+    terms = []
+    for i in range(250):
+        term = f"{i % 7 + 1}/{i % 3 + 1}*x^({i % 40 - 20}/{i % 4 + 1})"
+        p = ("", "*p", "*p^2")[i % 3]
+        terms += [term + p, f"x^{i % 9}*p^2", f"-x^{i % 9}*p^2", f"(x+p)*x^{i}"]
+    return " + ".join(terms)
+
+
 def success_set() -> list[list[str]]:
-    """65 success-path commands: params, weyl, match, and transform, susy,
-    spectrum and scan at eight orderings with both sources, and three large
-    grids whose z spans many decades."""
+    """66 success-path commands: params, weyl (one a long sum), match, and
+    transform, susy, spectrum and scan at eight orderings with both sources,
+    and three large grids whose z spans many decades."""
     cmds = [["params"], ["params", "--pressure-ratio", "0.8"],
             ["weyl", "--hamiltonian", "p^2/(2*x^3)"],
             ["weyl", "--hamiltonian", "p^2/x^3"],
+            ["weyl", "--hamiltonian", long_sum()],
             ["match", "--source", "expanded"], ["match", "--source", "paper"],
             ["scan", "--zmin", "1e-8", "--zmax", "1e3", "--points", "200000",
              "--pressures", "0.5,0.9"],
@@ -97,9 +108,11 @@ def error_set() -> list[list[str]]:
     the edges of the LAPACK call (every level, the smallest grid and a
     non-finite matrix), the parser's nesting and digit bounds and run of
     minus signs, one command per domain-error class the CLI can raise
-    (transform's refused pipeline, p past p^2 and an unbound name), and the
-    size bounds of a numeric power, --a and --bind, and a zero base under a
-    negative power."""
+    (transform's refused pipeline, p past p^2 and an unbound name), the
+    size bounds of a numeric power, --a and --bind, a zero base under a
+    negative power, the term-pair budget, and coefficients past the
+    rational bound."""
+    nines = "9" * 4096
     spectrum = ["spectrum", "--a=-1/3"]
     return [
         ["susy", "--a=1/0"],
@@ -180,6 +193,10 @@ def error_set() -> list[list[str]]:
         ["transform", "--a=1/" + "3" * 4000],
         ["weyl", "--hamiltonian", "M*x", "--bind", "M=1e100000"],
         ["weyl", "--hamiltonian", "(0*x)^-1"],
+        ["weyl", "--hamiltonian", "(((x+1)^16)^16)^16"],
+        ["weyl", "--hamiltonian", f"{nines}*{nines}*x"],
+        ["weyl", "--hamiltonian", f"{nines}e4096*x"],
+        ["weyl", "--hamiltonian", "M*x", "--bind", f"M={nines}e4096"],
     ]
 
 
