@@ -75,12 +75,7 @@ class ClassicalSymbol:
     @staticmethod
     def from_parts(parts: dict[int, PolyX]) -> "ClassicalSymbol":
         return ClassicalSymbol(
-            tuple(
-                (parts[k], k)
-                for k in sorted(parts)
-                if not parts[k].is_zero()
-            )
-        )
+            tuple((v, k) for k, v in sorted(_nonzero(parts).items())))
 
     def part(self, p_power: int) -> PolyX:
         for poly, k in self.terms:
