@@ -93,18 +93,18 @@ class Coeff:
         return self.a
 
     def real(self) -> "Coeff":
-        return Coeff(self.a, self.b)
+        return _coeff(self.a, self.b)
 
     def imag(self) -> "Coeff":
-        return Coeff(self.c, self.d)
+        return _coeff(self.c, self.d)
 
     def conjugate(self) -> "Coeff":
-        return Coeff(self.a, self.b, -self.c, -self.d)
+        return _coeff(self.a, self.b, -self.c, -self.d)
 
     # -- arithmetic ------------------------------------------------------
-    # Each operation first tries the rational (b = c = d = 0) and real
-    # (c = d = 0) cases, which cost one Fraction or one Q(sqrt2) operation;
-    # the general formula gives the same (canonical) Fractions.
+    # + and * first try the rational (b = c = d = 0) and real (c = d = 0)
+    # cases, which cost one Fraction or one Q(sqrt2) operation, and / goes
+    # through *; the general formula gives the same (canonical) Fractions.
     def __add__(self, other) -> "Coeff":
         o = Coeff.of(other)
         if not (self.c or self.d or o.c or o.d):
@@ -143,14 +143,9 @@ class Coeff:
         o = Coeff.of(other)
         if o.is_zero():
             raise ZeroDivisionError("division by zero Coeff")
-        num = self * o.conjugate()
-        # |o|^2 = re^2 + im^2, an element of Q(sqrt2)
-        na, nb = _q2_mul(o.a, o.b, o.a, o.b)
-        ma, mb = _q2_mul(o.c, o.d, o.c, o.d)
-        ia, ib = _q2_inv(na + ma, nb + mb)
-        ra, rb = _q2_mul(num.a, num.b, ia, ib)
-        ca, cb = _q2_mul(num.c, num.d, ia, ib)
-        return _coeff(ra, rb, ca, cb)
+        conj = o.conjugate()
+        norm = o * conj  # |o|^2, an element of Q(sqrt2)
+        return self * conj * _coeff(*_q2_inv(norm.a, norm.b))
 
     def __rtruediv__(self, other) -> "Coeff":
         return Coeff.of(other) / self

@@ -84,28 +84,11 @@ class ClassicalSymbol:
         return PolyX.zero()
 
     def to_text(self) -> str:
-        """Pretty-print in a form that reparses to an identical symbol."""
-        if not self.terms:
-            return "0"
-        pieces = []
-        for poly, k in self.terms:
-            for coeff, exp in poly.terms:
-                factors = [_coeff_text(coeff)]
-                if exp != 0:
-                    factors.append(f"x^({exp.numerator}/{exp.denominator})")
-                if k == 1:
-                    factors.append("p")
-                elif k == 2:
-                    factors.append("p^2")
-                pieces.append("*".join(factors))
-        return " + ".join(pieces)
-
-
-def _coeff_text(c: Coeff) -> str:
-    r = c.rational  # DSL output restricted to rational coefficients
-    if r.denominator == 1:
-        return f"({r.numerator})"
-    return f"({r.numerator}/{r.denominator})"
+        """Pretty-print in a form that reparses to an identical symbol: each
+        term as (c)*x^(e), then *p or *p^2; c is rational in a parse."""
+        return " + ".join(
+            f"({c.rational})*x^({e})" + ("", "*p", "*p^2")[k]
+            for poly, k in self.terms for c, e in poly.terms) or "0"
 
 
 _TOKEN_RE = re.compile(
