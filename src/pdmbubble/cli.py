@@ -31,6 +31,7 @@ from .helium import (
 from .ordering import match_orderings, named_orderings
 from .parsing import (
     MAX_DIGITS,
+    NAME_RE,
     literal_past_bounds,
     parse_hamiltonian,
     rational_past_bound,
@@ -149,13 +150,16 @@ def _bindings(args) -> dict:
     bindings = {"M0": Coeff.of(1), "U0": Coeff.of(1)}
     for item in getattr(args, "bind", None) or []:
         name, _, value = item.partition("=")
+        if name in ("x", "p") or not NAME_RE.fullmatch(name):
+            raise UsageError(f"--bind: expected a name matching {NAME_RE.pattern}"
+                             f" other than x and p, found {name!r}")
         past = literal_past_bounds(value)
         if not past:
             try:
                 r = Fraction(value)
             except (ValueError, ZeroDivisionError):
                 r = None
-            if r is None or not name:
+            if r is None:
                 raise UsageError(f"bad binding {item!r}; expected NAME=RATIONAL")
             past = rational_past_bound(r)
         if past:
@@ -193,6 +197,13 @@ def _cmd_params(args, out) -> int:
 def _cmd_weyl(args, out) -> int:
     sym = parse_hamiltonian(args.hamiltonian, _bindings(args))
     op = weyl_order(sym)
+    # f'' multiplies a coefficient by two exponents, so a part may pass the
+    # parser's bound, and Python prints no int that long
+    parts = (r for poly, _ in op.terms for c, e in poly.terms
+             for r in (c.a, c.b, c.c, c.d, e))
+    past = next(filter(None, map(rational_past_bound, parts)), None)
+    if past:
+        raise ValueError("Weyl operator: expected %s, found %s" % past)
     report = hermiticity_check(op)
     _emit_json(
         {"operator": op.to_jsonable(), "hermiticity": report.to_jsonable()},

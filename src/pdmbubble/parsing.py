@@ -91,10 +91,12 @@ class ClassicalSymbol:
             for poly, k in self.terms for c, e in poly.terms) or "0"
 
 
+#: A name as the tokenizer reads it; x and p are read before any binding.
+NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
     r"|\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    rf"|(?P<name>{NAME_RE.pattern})"
     r"|(?P<op>[-+*/^()]))"
 )
 

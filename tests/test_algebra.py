@@ -327,9 +327,11 @@ def test_coeff_arithmetic_matches_general_formula(x, y):
     assert parts_of(cx - cy) == ref_add(x, ref_neg(y))
     assert parts_of(cx * cy) == ref_mul(x, y)
     assert parts_of(-cx) == ref_neg(x)
+    results = [cx + cy, cx - cy, cx * cy]
     if any(y):
         assert parts_of(cx / cy) == ref_mul(x, ref_inv(y))
-    for result in (cx + cy, cx - cy, cx * cy):
+        results.append(cx / cy)
+    for result in results:
         assert all(type(u) is F for u in parts_of(result))
 
 

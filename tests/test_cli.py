@@ -186,6 +186,17 @@ class TestWeyl:
         assert code == 1
         assert err.startswith("error: usage:")
 
+    @pytest.mark.parametrize("argv, name", [
+        (("x", "--bind", "x=3"), "'x'"),
+        (("p^2", "--bind", "p=3"), "'p'"),
+        (("x", "--bind", "1M=3"), "'1M'"),
+    ])
+    def test_binding_the_parser_never_reads_is_usage_error(self, argv, name):
+        # x and p are read before any binding, and no DSL name spells 1M
+        assert invoke("weyl", "--hamiltonian", *argv) == (
+            1, "", "error: usage: --bind: expected a name matching "
+            f"[A-Za-z_][A-Za-z_0-9]* other than x and p, found {name}\n")
+
     @pytest.mark.parametrize("binding", ["M=abc", "M=1/0"])
     def test_non_rational_binding_is_usage_error(self, binding):
         code, out, err = invoke(
@@ -247,10 +258,17 @@ class TestWeyl:
         (("--hamiltonian", "M*x", "--bind", f"M={NINES}e4096"), 1,
          "usage: --bind M: expected a rational of at most 4300 digits a "
          "part, found more"),
+        # the symbol parses, and f'' = e(e-1) x^(e-2) has an 8192-digit
+        # denominator, or f'' = 6 c x with c of 4300 digits has 4301
+        (("--hamiltonian", f"x^(1/{NINES})*p^2"), 2, "domain: Weyl operator: "
+         "expected a rational of at most 4300 digits a part, found more"),
+        (("--hamiltonian", f"{NINES}*1e204*x^3*p^2"), 2, "domain: Weyl "
+         "operator: expected a rational of at most 4300 digits a part, "
+         "found more"),
     ])
     def test_oversized_coefficient_is_one_error_at_once(self, argv, code,
                                                         error):
-        # each built an 8192-digit int that Python would not print
+        # each built an int of over 4300 digits that Python would not print
         start = time.perf_counter()
         got = invoke("weyl", *argv)
         assert time.perf_counter() - start < 0.1

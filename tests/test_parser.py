@@ -363,6 +363,21 @@ def test_grammar_examples_roundtrip():
         assert parse_hamiltonian(sym.to_text(), {}) == sym
 
 
+@pytest.mark.parametrize("text, expected", [
+    ("0", "0"),
+    ("p", "(1)*x^(0)*p"),
+    ("-3", "(-3)*x^(0)"),
+    ("x^0*p^2", "(1)*x^(0)*p^2"),
+    ("x^(-3/2)*p/2", "(1/2)*x^(-3/2)*p"),
+    ("9" * 4096 + "*x", "(" + "9" * 4096 + ")*x^(1)"),
+])
+def test_uniform_text_roundtrip(text, expected):
+    # every term is (c)*x^(e), then *p or *p^2; the zero symbol is "0"
+    sym = parse_hamiltonian(text, {})
+    assert sym.to_text() == expected
+    assert parse_hamiltonian(expected, {}) == sym
+
+
 def test_fuzz_totality_10k():
     rng = random.Random(20260823)
     alphabet = ["x", "p", "M0", "1", "2", "1/2", "0.5e1", "+", "-", "*", "/",

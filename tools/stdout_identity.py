@@ -110,8 +110,9 @@ def error_set() -> list[list[str]]:
     minus signs, one command per domain-error class the CLI can raise
     (transform's refused pipeline, p past p^2 and an unbound name), the
     size bounds of a numeric power, --a and --bind, a zero base under a
-    negative power, the term-pair budget, and coefficients past the
-    rational bound."""
+    negative power, the term-pair budget, coefficients past the rational
+    bound in a parse and in the Weyl operator, and --bind names the parser
+    never reads."""
     nines = "9" * 4096
     spectrum = ["spectrum", "--a=-1/3"]
     return [
@@ -197,6 +198,11 @@ def error_set() -> list[list[str]]:
         ["weyl", "--hamiltonian", f"{nines}*{nines}*x"],
         ["weyl", "--hamiltonian", f"{nines}e4096*x"],
         ["weyl", "--hamiltonian", "M*x", "--bind", f"M={nines}e4096"],
+        ["weyl", "--hamiltonian", f"x^(1/{nines})*p^2"],
+        ["weyl", "--hamiltonian", f"{nines}*1e204*x^3*p^2"],
+        ["weyl", "--hamiltonian", "x", "--bind", "x=3"],
+        ["weyl", "--hamiltonian", "p^2", "--bind", "p=3"],
+        ["weyl", "--hamiltonian", "x", "--bind", "1M=3"],
     ]
 
 
