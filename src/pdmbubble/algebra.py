@@ -4,13 +4,17 @@ polynomials in one variable, and normal-ordered linear differential operators.
 Everything here is immutable and exact; floating point enters only through
 the explicit numeric-evaluation helpers.  All operator work is done in units
 M0 = hbar = 1; physical scales are reattached numerically elsewhere.
+
+A field element is held as five ints over one denominator, reduced by one
+gcd after every operation, so its arithmetic and equality run on ints; its
+four rational parts are Fractions only where they are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt, sqrt
+from math import comb, gcd, isqrt, lcm, sqrt
 from operator import itemgetter
 from typing import Iterable, Union
 
@@ -42,31 +46,47 @@ def _frac(v) -> Fraction:
 _SQRT2 = sqrt(2.0)
 
 
+def _part(i: int, doc: str) -> property:
+    return property(lambda self: Fraction(self._v[i], self._v[4]), doc=doc)
+
+
 class Coeff:
     """An element (a + b*sqrt2) + i*(c + d*sqrt2) of Q(sqrt2, i).
 
     The field is closed under +, -, *, / (nonzero divisor) and equality is
     exact.  It is large enough to hold every numeric factor appearing in the
     power-law-mass pipeline (sqrt2/5, -3(4a+1)/(4 sqrt2), -i, ...).
+
+    The value is held as ints (A + B*sqrt2 + i*(C + D*sqrt2)) / m with m > 0
+    and gcd(A, B, C, D, m) = 1.  That form is unique, so == compares ints;
+    a, b, c and d read the parts as Fractions A/m, B/m, C/m and D/m.
     """
 
-    __slots__ = ("a", "b", "c", "d")
+    __slots__ = ("_v",)
 
     def __init__(self, a=0, b=0, c=0, d=0):
-        _set_a(self, _frac(a))
-        _set_b(self, _frac(b))
-        _set_c(self, _frac(c))
-        _set_d(self, _frac(d))
+        # over the lcm of reduced denominators the ints are already coprime
+        parts = [_frac(v) for v in (a, b, c, d)]
+        m = lcm(*(p.denominator for p in parts))
+        _set_v(self, (*(p.numerator * (m // p.denominator) for p in parts), m))
 
     def __setattr__(self, *_):
         raise AttributeError("Coeff is immutable")
+
+    a = _part(0, "The rational part, a Fraction.")
+    b = _part(1, "The sqrt2 part, a Fraction.")
+    c = _part(2, "The i part, a Fraction.")
+    d = _part(3, "The i*sqrt2 part, a Fraction.")
 
     # -- constructors -------------------------------------------------
     @staticmethod
     def of(v) -> "Coeff":
         if isinstance(v, Coeff):
             return v
-        return _coeff(_frac(v))
+        if type(v) is int:
+            return _reduced(v, 0, 0, 0, 1)
+        v = _frac(v)
+        return _reduced(v.numerator, 0, 0, 0, v.denominator)
 
     @staticmethod
     def sqrt2(mult: RationalLike = 1) -> "Coeff":
@@ -78,13 +98,15 @@ class Coeff:
 
     # -- predicates ----------------------------------------------------
     def is_zero(self) -> bool:
-        return not (self.a or self.b or self.c or self.d)
+        return self._v == (0, 0, 0, 0, 1)  # zero's canonical form
 
     def is_real(self) -> bool:
-        return not (self.c or self.d)
+        _, _, C, D, _ = self._v
+        return not (C or D)
 
     def is_rational(self) -> bool:
-        return self.is_real() and not self.b
+        _, B, C, D, _ = self._v
+        return not (B or C or D)
 
     @property
     def rational(self) -> Fraction:
@@ -93,30 +115,35 @@ class Coeff:
         return self.a
 
     def real(self) -> "Coeff":
-        return _coeff(self.a, self.b)
+        A, B, _, _, m = self._v
+        return _reduced(A, B, 0, 0, m)
 
     def imag(self) -> "Coeff":
-        return _coeff(self.c, self.d)
+        _, _, C, D, m = self._v
+        return _reduced(C, D, 0, 0, m)
 
     def conjugate(self) -> "Coeff":
-        return _coeff(self.a, self.b, -self.c, -self.d)
+        A, B, C, D, m = self._v
+        return _reduced(A, B, -C, -D, m)
 
     # -- arithmetic ------------------------------------------------------
-    # + and * first try the rational (b = c = d = 0) and real (c = d = 0)
-    # cases, which cost one Fraction or one Q(sqrt2) operation, and / goes
-    # through *; the general formula gives the same (canonical) Fractions.
+    # Every result is reduced once (_reduced).  + skips its cross products
+    # over one denominator; * takes a rational operand (B = C = D = 0) on
+    # either side apart, four products against sixteen; / goes through *.
     def __add__(self, other) -> "Coeff":
-        o = Coeff.of(other)
-        if not (self.c or self.d or o.c or o.d):
-            if not (self.b or o.b):
-                return _coeff(self.a + o.a)
-            return _coeff(self.a + o.a, self.b + o.b)
-        return _coeff(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
+        A1, B1, C1, D1, m1 = self._v
+        A2, B2, C2, D2, m2 = (
+            other if type(other) is Coeff else Coeff.of(other))._v
+        if m1 == m2:
+            return _reduced(A1 + A2, B1 + B2, C1 + C2, D1 + D2, m1)
+        return _reduced(A1 * m2 + A2 * m1, B1 * m2 + B2 * m1,
+                        C1 * m2 + C2 * m1, D1 * m2 + D2 * m1, m1 * m2)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Coeff":
-        return _coeff(-self.a, -self.b, -self.c, -self.d)
+        A, B, C, D, m = self._v
+        return _reduced(-A, -B, -C, -D, m)
 
     def __sub__(self, other) -> "Coeff":
         return self + (-Coeff.of(other))
@@ -125,17 +152,20 @@ class Coeff:
         return Coeff.of(other) + (-self)
 
     def __mul__(self, other) -> "Coeff":
-        o = Coeff.of(other)
-        if not (self.c or self.d or o.c or o.d):
-            if not (self.b or o.b):
-                return _coeff(self.a * o.a)
-            return _coeff(*_q2_mul(self.a, self.b, o.a, o.b))
-        # complex product over Q(sqrt2): (re1 + i im1)(re2 + i im2)
-        ra, rb = _q2_mul(self.a, self.b, o.a, o.b)
-        sa, sb = _q2_mul(self.c, self.d, o.c, o.d)
-        ta, tb = _q2_mul(self.a, self.b, o.c, o.d)
-        ua, ub = _q2_mul(self.c, self.d, o.a, o.b)
-        return _coeff(ra - sa, rb - sb, ta + ua, tb + ub)
+        A1, B1, C1, D1, m1 = self._v
+        A2, B2, C2, D2, m2 = (
+            other if type(other) is Coeff else Coeff.of(other))._v
+        if not (B2 or C2 or D2):
+            return _reduced(A1 * A2, B1 * A2, C1 * A2, D1 * A2, m1 * m2)
+        if not (B1 or C1 or D1):
+            return _reduced(A1 * A2, A1 * B2, A1 * C2, A1 * D2, m1 * m2)
+        return _reduced(
+            A1 * A2 + 2 * (B1 * B2 - D1 * D2) - C1 * C2,
+            A1 * B2 + B1 * A2 - C1 * D2 - D1 * C2,
+            A1 * C2 + C1 * A2 + 2 * (B1 * D2 + D1 * B2),
+            A1 * D2 + B1 * C2 + C1 * B2 + D1 * A2,
+            m1 * m2,
+        )
 
     __rmul__ = __mul__
 
@@ -144,16 +174,18 @@ class Coeff:
         if o.is_zero():
             raise ZeroDivisionError("division by zero Coeff")
         conj = o.conjugate()
-        norm = o * conj  # |o|^2, an element of Q(sqrt2)
-        return self * conj * _coeff(*_q2_inv(norm.a, norm.b))
+        # |o|^2 = (P + Q sqrt2) / M has inverse M (P - Q sqrt2) / (P^2 - 2 Q^2)
+        P, Q, _, _, M = (o * conj)._v
+        return self * conj * _reduced(M * P, -M * Q, 0, 0, P * P - 2 * Q * Q)
 
     def __rtruediv__(self, other) -> "Coeff":
         return Coeff.of(other) / self
 
     def __eq__(self, other) -> bool:
+        if type(other) is Coeff:
+            return self._v == other._v
         if isinstance(other, (int, Fraction, Coeff)):
-            o = Coeff.of(other)
-            return (self.a, self.b, self.c, self.d) == (o.a, o.b, o.c, o.d)
+            return self._v == Coeff.of(other)._v
         return NotImplemented
 
     def __hash__(self):
@@ -186,32 +218,20 @@ class Coeff:
         return " + ".join(parts) if parts else "0"
 
 
-_F0 = Fraction(0)
-_set_a, _set_b, _set_c, _set_d = (Coeff.__dict__[k].__set__ for k in "abcd")
+_set_v = Coeff.__dict__["_v"].__set__
 
 
-def _coeff(a: Fraction, b: Fraction = _F0, c: Fraction = _F0,
-           d: Fraction = _F0) -> Coeff:
-    """A Coeff from four Fractions, without the _frac checks."""
+def _reduced(A: int, B: int, C: int, D: int, m: int) -> Coeff:
+    """The Coeff (A + B sqrt2 + i(C + D sqrt2)) / m, m != 0, in canonical
+    form: divided by the gcd of all five, with m > 0."""
+    g = gcd(A, B, C, D, m)
+    if m < 0:
+        g = -g
+    if g != 1:
+        A, B, C, D, m = A // g, B // g, C // g, D // g, m // g
     self = object.__new__(Coeff)
-    _set_a(self, a)
-    _set_b(self, b)
-    _set_c(self, c)
-    _set_d(self, d)
+    _set_v(self, (A, B, C, D, m))
     return self
-
-
-def _q2_mul(a, b, c, d):
-    """(a + b sqrt2)(c + d sqrt2) in Q(sqrt2)."""
-    return a * c + 2 * b * d, a * d + b * c
-
-
-def _q2_inv(a, b):
-    """Inverse of a + b sqrt2 in Q(sqrt2)."""
-    norm = a * a - 2 * b * b
-    if norm == 0:
-        raise ZeroDivisionError("zero element of Q(sqrt2)")
-    return a / norm, -b / norm
 
 
 ZERO = Coeff(0)
@@ -386,9 +406,11 @@ class DiffOp:
                 raise ValueError("negative derivative order")
             merged.setdefault(order, []).append(poly)
         pf = Coeff.of(prefactor)
-        scaled = ((_sum(merged[k]).scale(pf), k) for k in sorted(merged))
+        terms = ((_sum(merged[k]), k) for k in sorted(merged))
+        if pf != ONE:
+            terms = ((p.scale(pf), k) for p, k in terms)
         object.__setattr__(
-            self, "terms", tuple((p, k) for p, k in scaled if not p.is_zero())
+            self, "terms", tuple((p, k) for p, k in terms if not p.is_zero())
         )
 
     def __setattr__(self, *_):

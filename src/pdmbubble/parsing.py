@@ -84,8 +84,11 @@ class ClassicalSymbol:
         return PolyX.zero()
 
     def to_text(self) -> str:
-        """Pretty-print in a form that reparses to an identical symbol: each
-        term as (c)*x^(e), then *p or *p^2; c is rational in a parse."""
+        """Pretty-print each term as (c)*x^(e), then *p or *p^2; c is
+        rational in a parse.  The text reparses to an identical symbol when
+        every numerator and denominator has at most MAX_DIGITS digits; a
+        longer part (a product of literals may reach MAX_RATIONAL_DIGITS)
+        is refused as a literal."""
         return " + ".join(
             f"({c.rational})*x^({e})" + ("", "*p", "*p^2")[k]
             for poly, k in self.terms for c, e in poly.terms) or "0"

@@ -10,6 +10,7 @@ from pdmbubble.algebra import (
     Coeff,
     DiffOp,
     DomainError,
+    ExactnessError,
     OrderingParam,
     PolyX,
     PowerLawMass,
@@ -67,6 +68,11 @@ class TestCoeff:
         assert z.conjugate() == Coeff(1, 2, -3, -4)
         assert z.real() == Coeff(1, 2)
         assert z.imag() == Coeff(3, 4)
+
+    def test_unreduced_parts_give_the_reduced_form(self):
+        z = Coeff(F(2, 4), F(-3, 6), 0, F(4, -8))
+        assert z == Coeff(F(1, 2), F(-1, 2), 0, F(-1, 2))
+        assert hash(z) == hash(Coeff(F(1, 2), F(-1, 2), 0, F(-1, 2)))
 
 
 class TestPolyX:
@@ -358,6 +364,42 @@ def test_coeff_equality_and_hash_match_components(x, y):
     assert hash(cx + cy) == hash(ref_add(x, y))
     if not any(x[1:]):
         assert cx == x[0] and cx != x[0] + 1
+
+
+def ref_str(x):
+    a, b, c, d = x
+    forms = ((a, "{}"), (b, "{}*sqrt2"), (c, "{}*i"), (d, "{}*i*sqrt2"))
+    return " + ".join(f.format(u) for u, f in forms if u) or "0"
+
+
+@settings(max_examples=150, deadline=None)
+@given(parts, parts, fractions)
+def test_coeff_reads_as_four_fractions(x, y, e):
+    # a Coeff holds five ints; every read of it goes through its Fractions
+    cx, cy = Coeff(*x), Coeff(*y)
+    a, b, c, d = x
+    assert all(type(u) is F for u in parts_of(cx) + (cx.real().a, cx.imag().a))
+    real = float(a) + float(b) * math.sqrt(2)
+    imag = float(c) + float(d) * math.sqrt(2)
+    assert complex(cx) == complex(real, imag)
+    if c or d:
+        with pytest.raises(ExactnessError):
+            float(cx)
+    else:
+        assert float(cx) == real
+    assert repr(cx) == f"Coeff({a}, {b}, {c}, {d})"
+    assert str(cx) == ref_str(x)
+    entry = {"p": str(a), "q": str(b),
+             "exponent_num": e.numerator, "exponent_den": e.denominator}
+    if c or d:
+        entry.update(ip=str(c), iq=str(d))
+    assert PolyX.mono(cx, e).to_jsonable() == ([entry] if any(x) else [])
+    # one value reached over other denominators has one form and one hash
+    same = [(cx + cy) - cy, cx * e - cx * (e - 1)]
+    if any(y):
+        same.append(cx * cy / cy)
+    for z in same:
+        assert z == cx and hash(z) == hash(cx) == hash(x)
 
 
 exponents = st.fractions(min_value=-3, max_value=3, max_denominator=3)

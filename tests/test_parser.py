@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction as F
 
@@ -370,12 +371,20 @@ def test_grammar_examples_roundtrip():
     ("x^0*p^2", "(1)*x^(0)*p^2"),
     ("x^(-3/2)*p/2", "(1/2)*x^(-3/2)*p"),
     ("9" * 4096 + "*x", "(" + "9" * 4096 + ")*x^(1)"),
+    ("9" * 4096 + "*1e204*x", "(" + "9" * 4096 + "0" * 204 + ")*x^(1)"),
 ])
 def test_uniform_text_roundtrip(text, expected):
-    # every term is (c)*x^(e), then *p or *p^2; the zero symbol is "0"
+    # every term is (c)*x^(e), then *p or *p^2; the zero symbol is "0"; a
+    # part past MAX_DIGITS digits prints, but its text is refused as input
     sym = parse_hamiltonian(text, {})
     assert sym.to_text() == expected
-    assert parse_hamiltonian(expected, {}) == sym
+    digits = max(map(len, re.findall(r"\d+", expected)))
+    if digits > MAX_DIGITS:
+        with pytest.raises(ParseError, match=f"expected a literal of at most "
+                           f"{MAX_DIGITS} digits, found {digits} digits"):
+            parse_hamiltonian(expected, {})
+    else:
+        assert parse_hamiltonian(expected, {}) == sym
 
 
 def test_fuzz_totality_10k():

@@ -57,9 +57,11 @@ def long_sum() -> str:
 
 
 def success_set() -> list[list[str]]:
-    """66 success-path commands: params, weyl (one a long sum), match, and
+    """71 success-path commands: params, weyl (one a long sum), match, and
     transform, susy, spectrum and scan at eight orderings with both sources,
-    and three large grids whose z spans many decades."""
+    three large grids whose z spans many decades, and five exact-layer
+    commands with large denominators and complex coefficients over mixed
+    denominators."""
     cmds = [["params"], ["params", "--pressure-ratio", "0.8"],
             ["weyl", "--hamiltonian", "p^2/(2*x^3)"],
             ["weyl", "--hamiltonian", "p^2/x^3"],
@@ -70,7 +72,12 @@ def success_set() -> list[list[str]]:
             ["scan", "--zmin", "1e-150", "--zmax", "1e150",
              "--points", "50000", "--pressures", "0.5"],
             ["spectrum", "--a=-2/3", "--zmin", "1e-8", "--zmax", "0.02",
-             "--points", "40000", "--count", "10"]]
+             "--points", "40000", "--count", "10"],
+            ["susy", "--a=-17/23", "--source", "expanded"],
+            ["susy", "--a=19/24", "--source", "paper"],
+            ["transform", "--a=19/24"], ["transform", "--a=-17/23"],
+            ["weyl", "--hamiltonian",
+             "x^(7/3)*p/5-3/7*p^2/x^(5/2)+2/9*x*p"]]
     for a in ORDERINGS:
         cmds.append(["transform", f"--a={a}"])
         for source in SOURCES:
