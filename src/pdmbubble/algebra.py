@@ -174,7 +174,8 @@ class Coeff:
         if o.is_zero():
             raise ZeroDivisionError("division by zero Coeff")
         conj = o.conjugate()
-        # |o|^2 = (P + Q sqrt2) / M has inverse M (P - Q sqrt2) / (P^2 - 2 Q^2)
+        # |o|^2 = (P + Q sqrt2) / M has inverse M (P - Q sqrt2) / (P^2 - 2Q^2);
+        # P^2 - 2Q^2 = M^2 |o|^2 |o'|^2 > 0, with o' = o at sqrt2 -> -sqrt2
         P, Q, _, _, M = (o * conj)._v
         return self * conj * _reduced(M * P, -M * Q, 0, 0, P * P - 2 * Q * Q)
 
@@ -222,11 +223,9 @@ _set_v = Coeff.__dict__["_v"].__set__
 
 
 def _reduced(A: int, B: int, C: int, D: int, m: int) -> Coeff:
-    """The Coeff (A + B sqrt2 + i(C + D sqrt2)) / m, m != 0, in canonical
-    form: divided by the gcd of all five, with m > 0."""
+    """The Coeff (A + B sqrt2 + i(C + D sqrt2)) / m, m > 0, in canonical
+    form: divided by the gcd of all five."""
     g = gcd(A, B, C, D, m)
-    if m < 0:
-        g = -g
     if g != 1:
         A, B, C, D, m = A // g, B // g, C // g, D // g, m // g
     self = object.__new__(Coeff)
