@@ -5,17 +5,19 @@ Everything here is immutable and exact; floating point enters only through
 the explicit numeric-evaluation helpers.  All operator work is done in units
 M0 = hbar = 1; physical scales are reattached numerically elsewhere.
 
-A field element is held as five ints over one denominator, reduced by one
-gcd after every operation, so its arithmetic and equality run on ints; its
-four rational parts are Fractions only where they are read.
+A field element is held as five ints over one denominator, and a polynomial
+as its exponents' numerators over one denominator, each reduced by one gcd
+after every operation, so arithmetic and equality run on ints; parts and
+exponents are Fractions only where they are read.  Operators compose one
+monomial pair at a time by the Leibniz rule (_leibniz).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import comb, gcd, isqrt, lcm, sqrt
-from operator import itemgetter
 from typing import Iterable, Union
 
 RationalLike = Union[int, Fraction]
@@ -72,6 +74,9 @@ class Coeff:
 
     def __setattr__(self, *_):
         raise AttributeError("Coeff is immutable")
+
+    def __reduce__(self):
+        return Coeff, (self.a, self.b, self.c, self.d)
 
     a = _part(0, "The rational part, a Fraction.")
     b = _part(1, "The sqrt2 part, a Fraction.")
@@ -239,37 +244,36 @@ ONE = Coeff(1)
 
 class PolyX:
     """A finite sum of terms coeff * x**exponent with exact coefficients and
-    rational exponents, kept canonical (sorted, merged, zero-free)."""
+    rational exponents, kept canonical (sorted, merged, zero-free).
 
-    __slots__ = ("terms",)
+    Held as (den, ((num, Coeff), ...)): exponent num/den over one
+    denominator den > 0, gcd(den, *nums) = 1 and the nums increasing.  That
+    form is unique, so == compares ints; terms reads (Coeff, Fraction) pairs.
+    """
+
+    __slots__ = ("_v",)
 
     def __init__(self, terms: Iterable[tuple] = ()):
-        # keyed by (numerator, denominator): a Fraction's own hash is costly
-        merged: dict[tuple[int, int], tuple[Coeff, Fraction]] = {}
-        for coeff, exp in terms:
-            c = coeff if type(coeff) is Coeff else Coeff.of(coeff)
-            e = exp if type(exp) is Fraction else _frac(exp)
-            key = (e.numerator, e.denominator)
-            if key in merged:
-                merged[key] = (merged[key][0] + c, e)
-            else:
-                merged[key] = (c, e)
-        object.__setattr__(
-            self,
-            "terms",
-            tuple(
-                sorted((t for t in merged.values() if not t[0].is_zero()),
-                       key=itemgetter(1))
-            ),
-        )
+        _set_pv(self, _sum([PolyX.mono(c, e) for c, e in terms])._v)
 
     def __setattr__(self, *_):
         raise AttributeError("PolyX is immutable")
 
+    def __reduce__(self):
+        return PolyX, (self.terms,)
+
+    @property
+    def terms(self) -> tuple:
+        """The (Coeff, Fraction exponent) pairs by increasing exponent."""
+        den, ts = self._v
+        return tuple((c, Fraction(n, den)) for n, c in ts)
+
     # -- constructors -----------------------------------------------------
     @staticmethod
     def mono(coeff, exponent: RationalLike = 0) -> "PolyX":
-        return PolyX([(coeff, exponent)])
+        c, e = Coeff.of(coeff), _frac(exponent)
+        return _polyx(*((1, ()) if c.is_zero() else
+                        (e.denominator, ((e.numerator, c),))))
 
     @staticmethod
     def const(coeff) -> "PolyX":
@@ -285,13 +289,13 @@ class PolyX:
 
     # -- predicates --------------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._v[1]
 
     def is_monomial(self) -> bool:
-        return len(self.terms) == 1
+        return len(self._v[1]) == 1
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and self.terms[0][1] == 0)
+        return all(n == 0 for n, _ in self._v[1])
 
     def coefficient(self, exponent: RationalLike) -> Coeff:
         e = _frac(exponent)
@@ -308,53 +312,59 @@ class PolyX:
 
     # -- arithmetic ----------------------------------------------------------
     def __add__(self, other: "PolyX") -> "PolyX":
-        return PolyX(self.terms + other.terms)
+        return _sum([self, other])
 
     def __sub__(self, other: "PolyX") -> "PolyX":
         return self + (-other)
 
     def __neg__(self) -> "PolyX":
-        return PolyX([(-c, e) for c, e in self.terms])
+        return self.scale(-1)
 
     def __mul__(self, other: "PolyX") -> "PolyX":
-        out = []
-        for c1, e1 in self.terms:
-            for c2, e2 in other.terms:
-                out.append((c1 * c2, e1 + e2))
-        return PolyX(out)
+        (d1, t1), (d2, t2) = self._v, other._v
+        den = lcm(d1, d2)
+        s1, s2 = den // d1, den // d2
+        return _poly(den, ((n1 * s1 + n2 * s2, c1 * c2)
+                           for n1, c1 in t1 for n2, c2 in t2))
 
     def scale(self, k) -> "PolyX":
         k = Coeff.of(k)
         if k == ONE:
             return self
-        return PolyX([(c * k, e) for c, e in self.terms])
+        if k.is_zero():
+            return PolyX.zero()
+        den, ts = self._v  # a nonzero factor keeps every term
+        return _polyx(den, tuple((n, c * k) for n, c in ts))
 
     def derivative(self) -> "PolyX":
-        return PolyX([(c * e, e - 1) for c, e in self.terms if e != 0])
+        den, ts = self._v
+        return _poly(den, ((n - den, _scaled(c, n, den)) for n, c in ts if n))
 
     def real_part(self) -> "PolyX":
-        return PolyX([(c.real(), e) for c, e in self.terms])
+        return _poly(self._v[0], ((n, c.real()) for n, c in self._v[1]))
 
     def imag_part(self) -> "PolyX":
-        return PolyX([(c.imag(), e) for c, e in self.terms])
+        return _poly(self._v[0], ((n, c.imag()) for n, c in self._v[1]))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, PolyX):
-            return self.terms == other.terms
+            return self._v == other._v
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.terms)
+        return hash(self._v)
 
     # -- numerics ----------------------------------------------------------
     def eval(self, x: float) -> complex:
         total = 0j
-        for c, e in self.terms:
-            if x == 0 and e < 0:
+        den, ts = self._v
+        for n, c in ts:
+            if x == 0 and n < 0:
                 raise DomainError("evaluation at a pole (x = 0)")
-            if x < 0 and e.denominator != 1:
-                raise DomainError(f"fractional power x**{e} at negative x")
-            total += complex(c) * float(x) ** float(e)
+            if x < 0 and n % den:
+                raise DomainError(
+                    f"fractional power x**{Fraction(n, den)} at negative x")
+            total += complex(c) * float(x) ** (n / den)
         return total
 
     def __str__(self):
@@ -382,11 +392,69 @@ class PolyX:
         return entries
 
 
+_set_pv = PolyX.__dict__["_v"].__set__
+
+
+def _polyx(den: int, ts: tuple) -> PolyX:
+    """The PolyX held as (den, ts), already canonical."""
+    self = object.__new__(PolyX)
+    _set_pv(self, (den, ts))
+    return self
+
+
+def _poly(den: int, pairs: Iterable[tuple]) -> PolyX:
+    """The sum of c x^(num/den) over pairs (num, c), merged once, zero-free,
+    sorted and reduced by gcd(den, *nums)."""
+    merged: dict[int, Coeff] = {}
+    for n, c in pairs:
+        merged[n] = merged[n] + c if n in merged else c
+    nums = sorted(n for n, c in merged.items() if not c.is_zero())
+    g = gcd(den, *nums)
+    return _polyx(den // g, tuple([(n // g, merged[n]) for n in nums]))
+
+
+def _scaled(c: Coeff, k: int, q: int) -> Coeff:
+    """c * k / q for ints k and q > 0."""
+    A, B, C, D, m = c._v
+    return _reduced(A * k, B * k, C * k, D * k, m * q)
+
+
 def _sum(polys: list[PolyX]) -> PolyX:
-    """The sum of one or more polynomials, merged once."""
+    """The sum of a list of polynomials, merged once."""
     if len(polys) == 1:
         return polys[0]
-    return PolyX([t for p in polys for t in p.terms])
+    den = lcm(*(p._v[0] for p in polys))
+    return _poly(den, ((n * (den // d), c)
+                       for d, ts in (p._v for p in polys) for n, c in ts))
+
+
+def _monomials(*ops: "DiffOp") -> tuple:
+    """(den, [[(c, num, k), ...] per op]): den is the lcm of every exponent
+    denominator, and each c x^(num/den) D^k is one monomial of the op."""
+    den = lcm(*(p._v[0] for op in ops for p, _ in op.terms))
+    return den, [[(c, n * (den // d), k) for p, k in op.terms
+                  for d, ts in (p._v,) for n, c in ts] for op in ops]
+
+
+def _leibniz(pairs, den: int) -> "DiffOp":
+    """The normal-ordered sum over pairs ((c, a, m), (d, b, n)) of
+    (c x^(a/den) D^m)(d x^(b/den) D^n) = sum_j C(m, j) (b/den)_j c d
+    x^((a + b)/den - j) D^(m + n - j), whose falling factorial (b/den)_j is
+    the integer b (b - den) ... (b - (j - 1) den) over den^j."""
+    acc: dict[int, list[tuple]] = {}  # order -> (num, Coeff) pairs
+    for (c, a, m), (d, b, n) in pairs:
+        cd = c * d
+        falling = 1
+        for j in range(m + 1):
+            acc.setdefault(m + n - j, []).append(
+                (a + b - j * den, _scaled(cd, comb(m, j) * falling, den ** j)))
+            falling *= b - j * den
+            if not falling:
+                break
+    op = object.__new__(DiffOp)  # one term per order: nothing to merge
+    polys = ((_poly(den, acc[k]), k) for k in sorted(acc))
+    object.__setattr__(op, "terms", tuple(t for t in polys if t[0]._v[1]))
+    return op
 
 
 class DiffOp:
@@ -405,15 +473,14 @@ class DiffOp:
                 raise ValueError("negative derivative order")
             merged.setdefault(order, []).append(poly)
         pf = Coeff.of(prefactor)
-        terms = ((_sum(merged[k]), k) for k in sorted(merged))
-        if pf != ONE:
-            terms = ((p.scale(pf), k) for p, k in terms)
-        object.__setattr__(
-            self, "terms", tuple((p, k) for p, k in terms if not p.is_zero())
-        )
+        polys = ((_sum(merged[k]).scale(pf), k) for k in sorted(merged))
+        object.__setattr__(self, "terms", tuple(t for t in polys if t[0]._v[1]))
 
     def __setattr__(self, *_):
         raise AttributeError("DiffOp is immutable")
+
+    def __reduce__(self):
+        return DiffOp, (self.terms,)
 
     # -- constructors ---------------------------------------------------------
     @staticmethod
@@ -460,34 +527,20 @@ class DiffOp:
         return DiffOp(self.terms, prefactor=factor)
 
     def compose(self, other: "DiffOp") -> "DiffOp":
-        """Normal-ordered product self o other via the Leibniz rule:
-        (f D^m)(g D^n) = f * sum_j C(m, j) g^(j) D^(m + n - j)."""
-        top = self.order
-        derivs = []  # g, g', ..., g^(top) of each right-hand term, taken once
-        for g, n in other.terms:
-            gs = [g]
-            for _ in range(top):
-                gs.append(gs[-1].derivative())
-            derivs.append((gs, n))
-        out = []
-        for f, m in self.terms:
-            for gs, n in derivs:
-                for j in range(m + 1):
-                    out.append((f * gs[j].scale(comb(m, j)), m + n - j))
-        return DiffOp(out)
+        """Normal-ordered product self o other, monomial pair by monomial
+        pair through the Leibniz rule (_leibniz)."""
+        den, (a, b) = _monomials(self, other)
+        return _leibniz(product(a, b), den)
 
     def commutator(self, other: "DiffOp") -> "DiffOp":
         return self.compose(other) - other.compose(self)
 
     def adjoint(self) -> "DiffOp":
-        """Formal adjoint under unit weight: (f D^k)* = (-1)^k D^k conj(f),
-        normal-ordered by the Leibniz rule in one compose per term."""
-        terms = []
-        for f, k in self.terms:
-            conj = PolyX([(c.conjugate(), e) for c, e in f.terms])
-            minus_d_k = DiffOp([(PolyX.const((-1) ** k), k)])
-            terms += minus_d_k.compose(DiffOp.multiplication(conj)).terms
-        return DiffOp(terms)
+        """Formal adjoint under unit weight: (c x^e D^k)* is
+        (-1)^k D^k conj(c) x^e, normal-ordered through the Leibniz rule."""
+        den, (monomials,) = _monomials(self)
+        return _leibniz((((Coeff.of((-1) ** k), 0, k), (c.conjugate(), b, 0))
+                         for c, b, k in monomials), den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, DiffOp):

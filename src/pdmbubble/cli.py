@@ -64,6 +64,10 @@ DOMAIN_ERRORS = (ValueError, ZeroDivisionError)
 #: the potential columns are all held in memory.
 MAX_POINTS = 10**6
 
+#: Upper bound on --points times --count for spectrum: the eigen-solve's
+#: bisection work grows with that product (2900 x 2900 took about 3 s).
+MAX_SOLVE_WORK = 1 << 23
+
 #: Most characters of a --config file read: a longer one is refused.
 MAX_CONFIG_CHARS = 1 << 20
 
@@ -107,6 +111,12 @@ def _field_strings(obj, fmt) -> dict:
 def _check_points(points: int) -> None:
     if points > MAX_POINTS:
         raise ValueError(f"--points must be at most {MAX_POINTS}")
+
+
+def _check_solve_work(points: int, count: int) -> None:
+    if points * count > MAX_SOLVE_WORK:
+        raise ValueError(f"--points times --count must be at most "
+                         f"{MAX_SOLVE_WORK}, found {points * count}")
 
 
 def _require_finite(**columns) -> None:
@@ -280,6 +290,7 @@ def _cmd_match(args, out) -> int:
 @_float_errors
 def _cmd_spectrum(args, out) -> int:
     _check_points(args.points)
+    _check_solve_work(args.points, args.count)
     d = derived_params(_load_params(args))
     grid = Grid(args.zmin, args.zmax, args.points)
     c_a = inverse_square_coefficient(args.a, args.source)

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction as F
 from math import comb
@@ -488,3 +490,94 @@ def adjoint_reference(op: DiffOp) -> DiffOp:
 def test_adjoint_matches_successive_minus_d(op):
     # orders 0-3, coefficients with sqrt2 and i parts
     assert op.adjoint() == adjoint_reference(op)
+
+
+def derivative_chain_compose(left: DiffOp, right: DiffOp) -> DiffOp:
+    """left o right on whole coefficients, each right-hand coefficient
+    differentiated once per order up to left's:
+    (f D^m)(g D^n) = f * sum_j C(m, j) g^(j) D^(m + n - j)."""
+    derivs = []  # g, g', ..., g^(top) of each right-hand term
+    for g, n in right.terms:
+        gs = [g]
+        for _ in range(left.order):
+            gs.append(gs[-1].derivative())
+        derivs.append((gs, n))
+    return DiffOp([(f * gs[j].scale(comb(m, j)), m + n - j)
+                   for f, m in left.terms for gs, n in derivs
+                   for j in range(m + 1)])
+
+
+def per_term_adjoint(op: DiffOp) -> DiffOp:
+    """(f D^k)* = (-1)^k D^k conj(f), one derivative-chain composition per
+    term."""
+    terms = []
+    for f, k in op.terms:
+        conj = PolyX([(c.conjugate(), e) for c, e in f.terms])
+        minus_d_k = DiffOp([(PolyX.const((-1) ** k), k)])
+        terms += derivative_chain_compose(
+            minus_d_k, DiffOp.multiplication(conj)).terms
+    return DiffOp(terms)
+
+
+@st.composite
+def mixed_denominator_ops(draw):
+    """Two operators of orders 0-3 whose exponents have denominators 1-12,
+    drawn over at most two denominators so that sums of exponents often
+    cancel to integers, and coefficients with sqrt2 and i parts."""
+    dens = draw(st.lists(st.integers(1, 12), min_size=1, max_size=2))
+    exponent = st.builds(F, st.integers(-24, 24), st.sampled_from(dens))
+    poly = st.lists(st.tuples(parts.map(lambda x: Coeff(*x)), exponent),
+                    min_size=1, max_size=3).map(PolyX)
+    op = st.lists(st.tuples(poly, st.integers(0, 3)), max_size=3).map(DiffOp)
+    return draw(op), draw(op), draw(exponent)
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_denominator_ops())
+def test_leibniz_pass_matches_derivative_chain(ops):
+    left, right, e = ops
+    compose, adjoint = derivative_chain_compose, per_term_adjoint
+    assert left.compose(right) == compose(left, right)
+    assert left.adjoint() == adjoint(left)
+    assert right.adjoint() == adjoint(right)
+    assert (left.commutator(right)
+            == compose(left, right) - compose(right, left))
+    for op in (left.compose(right), left.adjoint(), left.commutator(right)):
+        for poly, _ in op.terms:
+            assert poly == PolyX(poly.terms)
+            assert hash(poly) == hash(PolyX(poly.terms))
+            assert all(type(u) is F and math.gcd(u.numerator, u.denominator)
+                       == 1 for _, u in poly.terms)
+    # one value reached over other denominators: one form, one hash
+    for p, _ in left.terms:
+        x_e, x_minus_e = PolyX.mono(1, e), PolyX.mono(1, -e)
+        for q in ((p + x_e) - x_e, p * x_e * x_minus_e):
+            assert q == p and hash(q) == hash(p)
+        # (p x^e)' - p (x^e)' = p' x^e
+        q = ((p * x_e).derivative() - p * x_e.derivative()) * x_minus_e
+        assert q == p.derivative() and hash(q) == hash(p.derivative())
+
+
+def test_polyx_denominators_cancel_to_one_form():
+    quarter = PolyX.mono(Coeff.sqrt2(), F(1, 4))
+    half = quarter * PolyX.mono(1, F(1, 4))
+    assert half == PolyX.mono(Coeff.sqrt2(), F(2, 4))
+    assert hash(half) == hash(PolyX([(Coeff.sqrt2(), F(1, 2))]))
+    cube = PolyX([(1, F(1, 3)), (1, F(2, 3))])
+    whole = cube * cube * cube - PolyX([(3, F(4, 3)), (3, F(5, 3))])
+    assert whole == PolyX([(1, 1), (1, 2)])
+    assert [e for _, e in whole.terms] == [F(1), F(2)]
+
+
+@pytest.mark.parametrize("value", [
+    Coeff(F(1, 2), -3, F(2, 7), 5),
+    PolyX([(Coeff(1, F(1, 2), 0, -3), F(5, 12)), (2, -1)]),
+    DiffOp([(PolyX([(Coeff.imag_unit(), F(1, 3))]), 2),
+            (PolyX.mono(F(-1, 2), -2), 0)]),
+])
+def test_value_classes_copy_and_pickle(value):
+    for other in (copy.copy(value), copy.deepcopy(value),
+                  pickle.loads(pickle.dumps(value))):
+        assert type(other) is type(value)
+        assert other == value and hash(other) == hash(value)
+        assert repr(other) == repr(value)

@@ -18,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 import pdmbubble
 from pdmbubble.algebra import OrderingParam
 from pdmbubble import cli
-from pdmbubble.cli import MAX_CONFIG_CHARS, MAX_POINTS, run
+from pdmbubble.cli import (MAX_CONFIG_CHARS, MAX_POINTS, MAX_SOLVE_WORK,
+                           _check_solve_work, run)
 from pdmbubble.helium import DEFAULT_HE4, EV, derived_params
 from pdmbubble.spectral import Grid, SymTriMatrix, assemble, eigenvalues
 from pdmbubble.susy import inverse_square_coefficient, z_space_operator
@@ -482,6 +483,21 @@ class TestSpectrum:
         code, out, err = invoke(*command, "--points", str(MAX_POINTS + 1))
         assert (code, out) == (2, "")
         assert err == f"error: domain: --points must be at most {MAX_POINTS}\n"
+
+    def test_solve_work_above_budget_is_domain_error(self):
+        code, out, err = invoke("spectrum", "--a=-1/3", "--points", "2900",
+                                "--count", "2900")
+        assert (code, out) == (2, "")
+        assert err == ("error: domain: --points times --count must be at most "
+                       f"{MAX_SOLVE_WORK}, found 8410000\n")
+
+    def test_solve_work_budget_admits_its_bound(self):
+        # checked directly: a solve at the bound would take seconds
+        assert MAX_SOLVE_WORK == 2 ** 23
+        _check_solve_work(2 ** 13, 2 ** 10)
+        _check_solve_work(MAX_POINTS, 8)
+        with pytest.raises(ValueError, match="found 8388609"):
+            _check_solve_work(MAX_SOLVE_WORK + 1, 1)
 
 
 def scalar_scan(a, source, zmin, zmax, points, ratios):

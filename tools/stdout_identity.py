@@ -57,11 +57,12 @@ def long_sum() -> str:
 
 
 def success_set() -> list[list[str]]:
-    """71 success-path commands: params, weyl (one a long sum), match, and
+    """75 success-path commands: params, weyl (one a long sum), match, and
     transform, susy, spectrum and scan at eight orderings with both sources,
-    three large grids whose z spans many decades, and five exact-layer
+    three large grids whose z spans many decades, five exact-layer
     commands with large denominators and complex coefficients over mixed
-    denominators."""
+    denominators, and four weyl commands whose exponent denominators mix
+    and cancel."""
     cmds = [["params"], ["params", "--pressure-ratio", "0.8"],
             ["weyl", "--hamiltonian", "p^2/(2*x^3)"],
             ["weyl", "--hamiltonian", "p^2/x^3"],
@@ -78,6 +79,11 @@ def success_set() -> list[list[str]]:
             ["transform", "--a=19/24"], ["transform", "--a=-17/23"],
             ["weyl", "--hamiltonian",
              "x^(7/3)*p/5-3/7*p^2/x^(5/2)+2/9*x*p"]]
+    cmds += [["weyl", "--hamiltonian", h] for h in (
+        "x^(1/6)*p^2*x^(-1/6)",
+        "x^(5/12)*p*x^(-5/12)+x^(3/4)*p^2/x^(1/4)",
+        "(x^(1/3)+x^(2/3))^3*p^2/x^2",
+        "(x^(1/4)-x^(-1/4))*(x^(1/4)+x^(-1/4))*p")]
     for a in ORDERINGS:
         cmds.append(["transform", f"--a={a}"])
         for source in SOURCES:
@@ -112,8 +118,8 @@ def well_box_set() -> list[list[str]]:
 def error_set() -> list[list[str]]:
     """Front-door faults recorded in CHANGES.md, neighbouring bad input, the
     order of the ratio, source, z and c_a errors, a U0 that underflows to 0,
-    the edges of the LAPACK call (every level, the smallest grid and a
-    non-finite matrix), the parser's nesting and digit bounds and run of
+    the edges of the LAPACK call (every level, the smallest grid, a
+    non-finite matrix and the points x count budget), the parser's nesting and digit bounds and run of
     minus signs, one command per domain-error class the CLI can raise
     (transform's refused pipeline, p past p^2 and an unbound name), the
     size bounds of a numeric power, --a and --bind, a zero base under a
@@ -135,6 +141,7 @@ def error_set() -> list[list[str]]:
         ["spectrum", "--a=-1/4", "--zmin", "1e-40", "--zmax", "2e-40",
          "--points", "3", "--count", "1", "--config", "@k_inf"],
         [*spectrum, "--points", "1000001"],
+        [*spectrum, "--points", "2900", "--count", "2900"],
         ["spectrum", "--a=0", "--source", "bogus", "--points", "2"],
         ["spectrum", "--a=0", "--source", "bogus", "--zmin", "-1"],
         ["spectrum", f"--a={10**200}", "--points", "10"],
