@@ -64,8 +64,9 @@ DOMAIN_ERRORS = (ValueError, ZeroDivisionError)
 #: the potential columns are all held in memory.
 MAX_POINTS = 10**6
 
-#: Upper bound on --points times --count for spectrum: the eigen-solve's
-#: bisection work grows with that product (2900 x 2900 took about 3 s).
+#: Upper bound on --points times --count for spectrum: the eigen-solve
+#: bisects once per level over the whole grid, so its work grows with
+#: that product.
 MAX_SOLVE_WORK = 1 << 23
 
 #: Most characters of a --config file read: a longer one is refused.

@@ -118,14 +118,14 @@ def well_box_set() -> list[list[str]]:
 def error_set() -> list[list[str]]:
     """Front-door faults recorded in CHANGES.md, neighbouring bad input, the
     order of the ratio, source, z and c_a errors, a U0 that underflows to 0,
-    the edges of the LAPACK call (every level, the smallest grid, a
-    non-finite matrix and the points x count budget), the parser's nesting and digit bounds and run of
+    the edges of the LAPACK call (every level, the smallest grid and a
+    non-finite matrix), the parser's nesting and digit bounds and run of
     minus signs, one command per domain-error class the CLI can raise
     (transform's refused pipeline, p past p^2 and an unbound name), the
     size bounds of a numeric power, --a and --bind, a zero base under a
     negative power, the term-pair budget, coefficients past the rational
-    bound in a parse and in the Weyl operator, and --bind names the parser
-    never reads."""
+    bound in a parse and in the Weyl operator, --bind names the parser
+    never reads, and spectrum's points x count budget."""
     nines = "9" * 4096
     spectrum = ["spectrum", "--a=-1/3"]
     return [
