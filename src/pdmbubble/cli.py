@@ -24,6 +24,7 @@ from .helium import (
     PhysicsError,
     barrier_info,
     derived_params,
+    float_errors,
     parse_params,
     potential_profile,
     z_powers,
@@ -34,6 +35,7 @@ from .parsing import (
     NAME_RE,
     literal_past_bounds,
     parse_hamiltonian,
+    polys_past_bound,
     rational_past_bound,
 )
 from .pointmass import (
@@ -66,7 +68,8 @@ MAX_POINTS = 10**6
 
 #: Upper bound on --points times --count for spectrum: the eigen-solve
 #: bisects once per level over the whole grid, so its work grows with
-#: that product.
+#: that product.  Only a count the solve takes (1 <= count <= points) is
+#: judged; any other, or a grid of under 3 points, meets its own refusal.
 MAX_SOLVE_WORK = 1 << 23
 
 #: Most characters of a --config file read: a longer one is refused.
@@ -115,7 +118,7 @@ def _check_points(points: int) -> None:
 
 
 def _check_solve_work(points: int, count: int) -> None:
-    if points * count > MAX_SOLVE_WORK:
+    if 1 <= count <= points and points * count > MAX_SOLVE_WORK:
         raise ValueError(f"--points times --count must be at most "
                          f"{MAX_SOLVE_WORK}, found {points * count}")
 
@@ -181,13 +184,6 @@ def _bindings(args) -> dict:
 
 # ---------------------------------------------------------------- commands
 
-#: The float-error policy of the numeric commands: their arithmetic overflows
-#: to inf and makes nan silently, as Python's float arithmetic does on one
-#: point, and a check refuses the result: z_powers a z grid out of range,
-#: eigenvalues a non-finite matrix, and _require_finite a printed column.
-_float_errors = np.errstate(over="ignore", invalid="ignore")
-
-
 def _cmd_params(args, out) -> int:
     p = _load_params(args)
     d = derived_params(p)
@@ -210,9 +206,7 @@ def _cmd_weyl(args, out) -> int:
     op = weyl_order(sym)
     # f'' multiplies a coefficient by two exponents, so a part may pass the
     # parser's bound, and Python prints no int that long
-    parts = (r for poly, _ in op.terms for c, e in poly.terms
-             for r in (c.a, c.b, c.c, c.d, e))
-    past = next(filter(None, map(rational_past_bound, parts)), None)
+    past = polys_past_bound(poly for poly, _ in op.terms)
     if past:
         raise ValueError("Weyl operator: expected %s, found %s" % past)
     report = hermiticity_check(op)
@@ -288,7 +282,7 @@ def _cmd_match(args, out) -> int:
     return 0
 
 
-@_float_errors
+@float_errors()
 def _cmd_spectrum(args, out) -> int:
     _check_points(args.points)
     _check_solve_work(args.points, args.count)
@@ -307,7 +301,7 @@ def _cmd_spectrum(args, out) -> int:
     return 0
 
 
-@_float_errors
+@float_errors()
 def _cmd_scan(args, out) -> int:
     _check_points(args.points)
     if args.points < 2:

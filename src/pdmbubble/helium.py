@@ -144,9 +144,14 @@ def derived_params(p: PhysicalParams) -> DerivedParams:
     return d
 
 
-# Column arithmetic overflows to inf and makes nan silently, as Python's float
-# arithmetic does on one point.
-_float_errors = np.errstate(over="ignore", invalid="ignore")
+def float_errors() -> np.errstate:
+    """The numeric layer's float-error policy, a context or decorator: column
+    arithmetic overflows to inf and makes nan silently, as Python's float
+    arithmetic does on one point, and a check refuses the result (z_powers a
+    z out of range, potential_profile a V_sys, and in cli eigenvalues a
+    non-finite matrix and _require_finite a printed column).  A new one per
+    use, as numpy before 2.0 keeps an errstate's saved state on the object."""
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 @dataclass(frozen=True)
@@ -164,7 +169,7 @@ class ZPowers:
         return len(self.z)
 
 
-@_float_errors
+@float_errors()
 def z_powers(zs) -> ZPowers:
     """z**2, z**0.8 and z**0.4 on a column of z (see ZPowers).  The first z
     in order that is not in (0, inf), or whose z**2 leaves the float range,
@@ -185,7 +190,7 @@ def z_powers(zs) -> ZPowers:
     return ZPowers(z, z2, np.float_power(z, 0.8), np.float_power(z, 0.4))
 
 
-@_float_errors
+@float_errors()
 def potential_profile(c_a, dp: DerivedParams,
                       p: ZPowers) -> tuple[np.ndarray, np.ndarray]:
     """V_a = k c_a / z^2 and V_sys = U0 z^{4/5} (1 - z^{2/5}) (J) on the z

@@ -142,6 +142,8 @@ def match_orderings(n, target: DiffOp, source: str) -> OrderingSolution:
     source = normalize_source(source)
     scale, gamma_t = _family_scale_and_gamma(n, target)
     if source == SOURCE_EXPANDED:
+        if n == 0:  # the quadratic below would be 0 a^2 + 0 a + gamma
+            raise MatchError("gamma does not depend on a at n = 0")
         # gamma(a) = -n a (n a + n + 1) as an exact quadratic in a
         c2, c1, c0 = n * n, n * (n + 1), gamma_t
     else:

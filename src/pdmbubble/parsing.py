@@ -21,6 +21,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .algebra import Coeff, PolyX, _sum
 
@@ -168,14 +169,22 @@ def rational_past_bound(r: Fraction) -> tuple[str, str] | None:
     return f"a rational of at most {MAX_RATIONAL_DIGITS} digits a part", "more"
 
 
+def polys_past_bound(polys: Iterable[PolyX]) -> tuple[str, str] | None:
+    """rational_past_bound of the first coefficient part (a, b, c, d) or
+    exponent of x, term by term through polys, that is past it, or None."""
+    # a rational coefficient (every one a parse builds) has one part to read
+    parts = (r for poly in polys for c, e in poly.terms
+             for r in ((c.a, e) if c.is_rational()
+                       else (c.a, c.b, c.c, c.d, e)))
+    return next(filter(None, map(rational_past_bound, parts)), None)
+
+
 def _bounded(parts: dict[int, PolyX], offset: int) -> dict[int, PolyX]:
     """parts, once no coefficient or exponent in it is past
     MAX_RATIONAL_DIGITS (a ParseError at offset otherwise)."""
-    for poly in parts.values():
-        for c, e in poly.terms:
-            past = rational_past_bound(c.rational) or rational_past_bound(e)
-            if past:
-                raise ParseError(offset, *past)
+    past = polys_past_bound(parts.values())
+    if past:
+        raise ParseError(offset, *past)
     return parts
 
 

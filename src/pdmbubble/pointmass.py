@@ -2,10 +2,12 @@
 restoration for second-order operators.
 
 The transform x = c z^alpha is chosen so that a power-law mass x^n becomes
-constant.  Transformed coefficients stay exact as long as the accumulated
-power of the map constant c is rational, which holds for the whole kinetic
-family; otherwise an ExactnessError is raised rather than falling back to
-floats.
+constant, and conjugating by sqrt(mu), mu = dx/dz, restores unit measure.
+Both are stated as substitutions and composed by DiffOp.compose; no
+chain-rule or restore coefficient is written out.  Transformed coefficients
+stay exact as long as the accumulated power of the map constant c is
+rational, which holds for the whole kinetic family; otherwise an
+ExactnessError is raised rather than falling back to floats.
 """
 
 from __future__ import annotations
@@ -65,57 +67,38 @@ def pm_map(n) -> CoordinateMap:
 
 def measure_of_map(map: CoordinateMap) -> Measure:
     """mu(z) = dx/dz = c alpha z^(alpha - 1)."""
-    # represent c * alpha exactly when alpha is itself a power of c_base
-    # inverse: alpha = c_base^(-1) holds for pm_map since c_base = 1/alpha
+    # c alpha = c_base^(c_exp - 1) when alpha = 1/c_base, as for every pm_map
     if map.c_base == 1 / map.alpha:
         return Measure(map.c_base, map.c_exp - 1, map.alpha - 1)
     raise ExactnessError("measure only available in power form for pm maps")
 
 
 def transform_diffop(op: DiffOp, map: CoordinateMap) -> DiffOp:
-    """Rewrite an operator in x as an operator in z under x = c z^alpha.
-
-    Chain rule, applied exactly: d/dx = (1/(c alpha)) z^(1 - alpha) d/dz, so
-    a term coeff x^e D^k (k <= 2) becomes lead z^(alpha e + k(1 - alpha)) D^k
-    with lead = coeff c^(e - k) / alpha^k, and for k = 2 also
-    (1 - alpha) lead z^(alpha e + 1 - 2 alpha) D, from d^2 z/dx^2.
-    """
+    """Rewrite an operator in x as an operator in z under x = c z^alpha:
+    each f(x) D_x^k becomes f(c z^alpha) c^-k d^k with d = (1/alpha)
+    z^(1 - alpha) D, and d^k is composed.  f c^-k is exact through c_power,
+    term by term in op's order."""
     if op.order > 2:
         raise TransformError("transform implemented for order <= 2 only")
     if map.is_identity():
         return op
     alpha = map.alpha
-    out = []
-    for poly, k in op.terms:
-        for coeff, e in poly.terms:
-            lead = coeff * (map.c_power(e - k) / alpha**k)
-            z_exp = alpha * e + k * (1 - alpha)
-            out.append((PolyX.mono(lead, z_exp), k))
-            if k == 2:
-                out.append((PolyX.mono(lead * (1 - alpha), z_exp - 1), 1))
-    return DiffOp(out)
+    d = DiffOp([(PolyX.mono(1 / alpha, 1 - alpha), 1)])
+    fs = [PolyX([(coeff * map.c_power(e - k), alpha * e)
+                 for coeff, e in op.coefficient(k).terms])
+          for k in range(op.order + 1)]
+    out = DiffOp.zero()
+    for f in reversed(fs):  # Horner in d: (f_2 d + f_1) d + f_0
+        out = DiffOp(out.compose(d).terms + ((f, 0),))
+    return out
 
 
 def unit_measure_restore(op: DiffOp, mu: Measure) -> DiffOp:
-    """Conjugate by sqrt(mu) so the inner-product weight becomes 1.
-
-    For A D^2 + B D + C and power-form mu:
-    A~ = A;  B~ = B - A mu'/mu;
-    C~ = A [3/4 (mu'/mu)^2 - 1/2 mu''/mu] - B (mu'/mu)/2 + C.
-    """
+    """Conjugate by sqrt(mu) so the inner-product weight becomes 1:
+    z^(e/2) o op o z^(-e/2) with e = mu.z_exp, composed exactly (mu's
+    constant factor cancels)."""
     if op.order > 2:
         raise TransformError("restoration implemented for order <= 2 only")
-    e = mu.z_exp
-    log_d = PolyX.mono(e, -1)                     # mu'/mu
-    second = PolyX.mono(e * (e - 1), -2)          # mu''/mu
-    a = op.coefficient(2)
-    b = op.coefficient(1)
-    c = op.coefficient(0)
-    b_t = b - a * log_d
-    c_t = (
-        a * (log_d * log_d).scale(Fraction(3, 4))
-        - a * second.scale(Fraction(1, 2))
-        - (b * log_d).scale(Fraction(1, 2))
-        + c
-    )
-    return DiffOp([(a, 2), (b_t, 1), (c_t, 0)])
+    half = mu.z_exp / 2
+    return (DiffOp.multiplication(PolyX.mono(1, half)).compose(op)
+            .compose(DiffOp.multiplication(PolyX.mono(1, -half))))

@@ -499,6 +499,20 @@ class TestSpectrum:
         with pytest.raises(ValueError, match="found 8388609"):
             _check_solve_work(MAX_SOLVE_WORK + 1, 1)
 
+    @pytest.mark.parametrize("points, count, error", [
+        ("-3000", "-3000", "grid needs at least 3 points"),
+        ("2", "5000000", "grid needs at least 3 points"),
+        ("2000", "5000", "count must satisfy 1 <= count <= N"),
+    ])
+    def test_solve_work_budget_judges_only_a_count_the_solve_takes(
+            self, points, count, error):
+        # the product of an invalid --points or --count is no work: each
+        # invalid value meets its own refusal instead of the budget's
+        code, out, err = invoke("spectrum", "--a=0", "--points", points,
+                                "--count", count)
+        assert (code, out) == (2, "")
+        assert err == f"error: domain: {error}\n"
+
 
 def scalar_scan(a, source, zmin, zmax, points, ratios):
     """scan's stdout built one row at a time, as the table was first written:

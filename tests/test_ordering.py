@@ -100,6 +100,31 @@ class TestMatchOrderings:
         with pytest.raises(MatchError):
             match_orderings(3, DiffOp.derivative(2), "expanded")
 
+    def test_constant_mass_is_refused(self):
+        # at n = 0 every ordering gives -(1/2) D^2: the quadratic is 0 = 0
+        target = expand_sandwich(PowerLawMass(0), OrderingParam(F(1, 3)))
+        with pytest.raises(MatchError,
+                           match="^gamma does not depend on a at n = 0$"):
+            match_orderings(0, target, "expanded")
+
+    def test_irrational_roots_are_floats_left_unverified(self):
+        # n + 1 = 3 is not a rational square: the roots of
+        # 4 a^2 + 6 a + 3/2 = 0 are (-3 -+ sqrt 3) / 4, as floats
+        target = weyl_order(parse_hamiltonian("p^2/x^2", {}))
+        data = match_orderings(2, target, "expanded").to_jsonable()
+        assert data["quadratic"] == ["4", "6", "3/2"]
+        assert data["discriminant"] == "12"
+        assert data["roots"] == [
+            {"a": "-1.1830127018922192", "exact": False, "verified": False,
+             "residual_terms": 0},
+            {"a": "-0.3169872981077807", "exact": False, "verified": False,
+             "residual_terms": 0},
+        ]
+        for root in match_orderings(2, target, "expanded").root_values:
+            assert isinstance(root, float)
+            size = 4 * root * root + 6 * abs(root) + 1.5
+            assert abs(4 * root * root + 6 * root + 1.5) <= 1e-12 * size
+
 
 class TestNamedOrderings:
     def test_candidate_expansions(self):

@@ -101,6 +101,21 @@ class TestParseHamiltonian:
         sym = parse_hamiltonian("-x + x", {})
         assert sym.terms == ()
 
+    @pytest.mark.parametrize("text, offset, expected, found", [
+        ("x/(x+1)", 1, "a monomial divisor", "a multi-term divisor"),
+        ("(x+1)^(1/2)", 5, "a nonnegative integer exponent on a sum", "1/2"),
+        ("(x+1)^(-1)", 5, "a nonnegative integer exponent on a sum", "-1"),
+        ("(x+1)^17", 5, "a sum exponent at most 16", "17"),
+    ])
+    def test_sum_divisor_and_sum_power_refusals(self, text, offset, expected,
+                                                 found):
+        with pytest.raises(ParseError) as info:
+            parse_hamiltonian(text, {})
+        assert (info.value.offset, info.value.expected, info.value.found) == (
+            offset, expected, found)
+        assert str(info.value) == (
+            f"at offset {offset}: expected {expected}, found {found}")
+
     def test_offset_within_input(self):
         for text in ("", "+", "x^", "1/(", "x x", ")", "p^"):
             with pytest.raises(ParseError) as info:

@@ -125,7 +125,10 @@ def error_set() -> list[list[str]]:
     size bounds of a numeric power, --a and --bind, a zero base under a
     negative power, the term-pair budget, coefficients past the rational
     bound in a parse and in the Weyl operator, --bind names the parser
-    never reads, and spectrum's points x count budget."""
+    never reads, the parser's refusals of a sum as divisor and of a sum
+    power that is fractional, negative or past 16, and spectrum's points x
+    count budget, with the invalid --points or --count it leaves to their
+    own refusals."""
     nines = "9" * 4096
     spectrum = ["spectrum", "--a=-1/3"]
     return [
@@ -142,6 +145,8 @@ def error_set() -> list[list[str]]:
          "--points", "3", "--count", "1", "--config", "@k_inf"],
         [*spectrum, "--points", "1000001"],
         [*spectrum, "--points", "2900", "--count", "2900"],
+        ["spectrum", "--a=0", "--points", "-3000", "--count", "-3000"],
+        ["spectrum", "--a=0", "--points", "2000", "--count", "5000"],
         ["spectrum", "--a=0", "--source", "bogus", "--points", "2"],
         ["spectrum", "--a=0", "--source", "bogus", "--zmin", "-1"],
         ["spectrum", f"--a={10**200}", "--points", "10"],
@@ -217,6 +222,10 @@ def error_set() -> list[list[str]]:
         ["weyl", "--hamiltonian", "x", "--bind", "x=3"],
         ["weyl", "--hamiltonian", "p^2", "--bind", "p=3"],
         ["weyl", "--hamiltonian", "x", "--bind", "1M=3"],
+        ["weyl", "--hamiltonian", "x/(x+1)"],
+        ["weyl", "--hamiltonian", "(x+1)^(1/2)"],
+        ["weyl", "--hamiltonian", "(x+1)^(-1)"],
+        ["weyl", "--hamiltonian", "(x+1)^17"],
     ]
 
 
