@@ -111,7 +111,8 @@ class TestMatchOrderings:
         # n + 1 = 3 is not a rational square: the roots of
         # 4 a^2 + 6 a + 3/2 = 0 are (-3 -+ sqrt 3) / 4, as floats
         target = weyl_order(parse_hamiltonian("p^2/x^2", {}))
-        data = match_orderings(2, target, "expanded").to_jsonable()
+        solution = match_orderings(2, target, "expanded")
+        data = solution.to_jsonable()
         assert data["quadratic"] == ["4", "6", "3/2"]
         assert data["discriminant"] == "12"
         assert data["roots"] == [
@@ -120,7 +121,7 @@ class TestMatchOrderings:
             {"a": "-0.3169872981077807", "exact": False, "verified": False,
              "residual_terms": 0},
         ]
-        for root in match_orderings(2, target, "expanded").root_values:
+        for root in solution.root_values:
             assert isinstance(root, float)
             size = 4 * root * root + 6 * abs(root) + 1.5
             assert abs(4 * root * root + 6 * root + 1.5) <= 1e-12 * size
