@@ -40,8 +40,6 @@ def _frac(v) -> Fraction:
         return v
     if isinstance(v, int):
         return Fraction(v)
-    if isinstance(v, str):
-        return Fraction(v)
     raise TypeError(f"not an exact rational: {v!r}")
 
 
@@ -430,7 +428,8 @@ def _sum(polys: list[PolyX]) -> PolyX:
 
 def _monomials(*ops: "DiffOp") -> tuple:
     """(den, [[(c, num, k), ...] per op]): den is the lcm of every exponent
-    denominator, and each c x^(num/den) D^k is one monomial of the op."""
+    denominator, and each c x^(num/den) D^k is one monomial of the op.  Only
+    op.terms, (PolyX, k) pairs, is read, so a ClassicalSymbol reads as well."""
     den = lcm(*(p._v[0] for op in ops for p, _ in op.terms))
     return den, [[(c, n * (den // d), k) for p, k in op.terms
                   for d, ts in (p._v,) for n, c in ts] for op in ops]

@@ -46,7 +46,7 @@ from .pointmass import (
     unit_measure_restore,
 )
 from .rows import NUMBER, format_rows
-from .spectral import Grid, check_range, eigenvalues, stencil
+from .spectral import Grid, check_count, check_range, eigenvalues, stencil
 from .susy import (
     commutator_check,
     inverse_square_coefficient,
@@ -68,8 +68,7 @@ MAX_POINTS = 10**6
 
 #: Upper bound on --points times --count for spectrum: the eigen-solve
 #: bisects once per level over the whole grid, so its work grows with
-#: that product.  Only a count the solve takes (1 <= count <= points) is
-#: judged; any other, or a grid of under 3 points, meets its own refusal.
+#: that product.  It is judged after the grid and the count are valid.
 MAX_SOLVE_WORK = 1 << 23
 
 #: Most characters of a --config file read: a longer one is refused.
@@ -118,7 +117,7 @@ def _check_points(points: int) -> None:
 
 
 def _check_solve_work(points: int, count: int) -> None:
-    if 1 <= count <= points and points * count > MAX_SOLVE_WORK:
+    if points * count > MAX_SOLVE_WORK:
         raise ValueError(f"--points times --count must be at most "
                          f"{MAX_SOLVE_WORK}, found {points * count}")
 
@@ -204,8 +203,8 @@ def _cmd_params(args, out) -> int:
 def _cmd_weyl(args, out) -> int:
     sym = parse_hamiltonian(args.hamiltonian, _bindings(args))
     op = weyl_order(sym)
-    # f'' multiplies a coefficient by two exponents, so a part may pass the
-    # parser's bound, and Python prints no int that long
+    # D^2 past f(x) multiplies a coefficient by two exponents, so a part may
+    # pass the parser's bound, and Python prints no int that long
     past = polys_past_bound(poly for poly, _ in op.terms)
     if past:
         raise ValueError("Weyl operator: expected %s, found %s" % past)
@@ -284,10 +283,13 @@ def _cmd_match(args, out) -> int:
 
 @float_errors()
 def _cmd_spectrum(args, out) -> int:
+    # the grid and the count come first: nothing is built for a solve
+    # that cannot run
     _check_points(args.points)
+    grid = Grid(args.zmin, args.zmax, args.points)
+    check_count(args.count, grid.points)
     _check_solve_work(args.points, args.count)
     d = derived_params(_load_params(args))
-    grid = Grid(args.zmin, args.zmax, args.points)
     c_a = inverse_square_coefficient(args.a, args.source)
     # The columns come before the stencil, so the z**2 check fires before
     # h**2 (h < the largest z) can overflow; the diagonal is (2k/h^2 + V_a) + V_sys.

@@ -36,6 +36,12 @@ def check_range(z_min: float, z_max: float) -> None:
         raise ValueError("z_max must exceed z_min")
 
 
+def check_count(count: int, size: int) -> None:
+    """Refuse a level count outside 1..size."""
+    if not 1 <= count <= size:
+        raise ValueError("count must satisfy 1 <= count <= N")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid on [z_min, z_max] with N points (Dirichlet endpoints)."""
@@ -146,8 +152,7 @@ def eigenvalues(matrix: SymTriMatrix, count: int,
                 grid: Grid | None = None) -> SpectralResult:
     """The `count` smallest eigenvalues, by Sturm-sequence bisection.  A grid,
     if given, is named when the solve does not converge."""
-    if not 1 <= count <= matrix.size:
-        raise ValueError("count must satisfy 1 <= count <= N")
+    check_count(count, matrix.size)
     d = np.asarray_chkfinite(matrix.diagonal)  # scipy's refusal, word for word
     e = np.asarray_chkfinite(matrix.off_diagonal)
     if matrix.size == 1:  # dstebz's wrapper refuses an empty e; scipy returns d

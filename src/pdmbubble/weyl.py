@@ -1,18 +1,26 @@
 """Weyl ordering of classical symbols at most quadratic in p.
 
-Weyl quantization is by closed-form ordering rules (the tests check them
-against explicit symmetrization by exact operator composition).  A
-Hermiticity checker covers both unit and power-law measures.
+The Weyl order of f(x) p^k is McCoy's symmetrization
+2^-k sum_j C(k, j) p^j f p^(k-j) with p = -i D (N. H. McCoy, PNAS 18, 674
+(1932)), composed exactly in one Leibniz pass; no per-power rule is written
+out (the tests keep the closed forms as the oracle).  An operator is
+Hermitian under a power-law measure mu exactly when mu o op is Hermitian
+under unit measure, so one set of conditions serves both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
-from .algebra import Coeff, DiffOp, PolyX
+from .algebra import ONE, Coeff, DiffOp, PolyX, _leibniz, _monomials
 
 _I = Coeff.imag_unit()
+
+#: McCoy's weights 2^-k C(k, j) (-i)^k, p^k = (-i)^k D^k, by k = 0, 1, 2
+_WEIGHTS = tuple(tuple(f * Fraction(comb(k, j), 2 ** k) for j in range(k + 1))
+                 for k, f in enumerate((ONE, -_I, -ONE)))
 
 
 class UnsupportedDegreeError(ValueError):
@@ -20,35 +28,22 @@ class UnsupportedDegreeError(ValueError):
 
 
 def weyl_order(sym) -> DiffOp:
-    """Weyl-quantize a ClassicalSymbol (hbar = 1 units).
-
-    Rules: f(x) p^2 -> -[f D^2 + f' D + f''/4]; g(x) p -> -i [g D + g'/2];
-    h(x) -> multiplication by h.
-    """
-    terms = []
-    for poly, k in sym.terms:
-        if k == 0:
-            terms.append((poly, 0))
-        elif k == 1:
-            d1 = poly.derivative()
-            terms += [(poly.scale(-_I), 1), (d1.scale(_I * Fraction(-1, 2)), 0)]
-        elif k == 2:
-            d1 = poly.derivative()
-            terms += [(-poly, 2), (-d1, 1),
-                      (d1.derivative().scale(Fraction(-1, 4)), 0)]
-        else:
+    """Weyl-quantize a ClassicalSymbol (hbar = 1 units): each monomial
+    c x^e p^k becomes 2^-k sum_j C(k, j) (-i)^k D^j c x^e D^(k-j),
+    normal-ordered in one Leibniz pass (algebra._leibniz)."""
+    for _, k in sym.terms:
+        if k > 2:
             raise UnsupportedDegreeError(f"p^{k} is not supported")
-    return DiffOp(terms)
+    den, (monomials,) = _monomials(sym)
+    return _leibniz((((w, 0, j), (c, e, k - j)) for c, e, k in monomials
+                     for j, w in enumerate(_WEIGHTS[k])), den)
 
 
 @dataclass(frozen=True)
 class HermiticityReport:
-    """Residuals of the Hermiticity conditions for A D^2 + B D + C.
-
-    Unit measure: (i) A real, (ii) A' = Re B, (iii) Im C = Im B' / 2.
-    With a power-law measure mu: B = A' + (mu'/mu) A (single residual,
-    stored as condition_ii; the other two are unit-style checks).
-    """
+    """Residuals of the unit-measure Hermiticity conditions for
+    A D^2 + B D + C: (i) A real, (ii) A' = Re B, (iii) Im C = Im B' / 2.
+    With a measure mu they are the residuals of mu o op."""
 
     condition_i: PolyX
     condition_ii: PolyX
@@ -76,22 +71,17 @@ class HermiticityReport:
 def hermiticity_check(op: DiffOp, measure=None) -> HermiticityReport:
     """Check the Hermiticity conditions of a second-order operator.
 
-    measure=None tests the unit-measure conditions; otherwise measure is a
-    power-form ``pointmass.Measure`` and the corrected condition
-    B = A' + (mu'/mu) A is tested.
+    measure=None tests op under unit measure.  Otherwise measure is a
+    power-form ``pointmass.Measure`` mu, and op is Hermitian under mu
+    exactly when mu o op is under unit measure: the conditions are tested
+    on z^e o op with e = mu.z_exp (mu's constant factor cancels).
     """
     if op.order > 2:
         raise UnsupportedDegreeError("operator order above 2")
-    a = op.coefficient(2)
-    b = op.coefficient(1)
-    c = op.coefficient(0)
-    if measure is None:
-        res_i = a.imag_part()
-        res_ii = a.derivative() - b.real_part()
-        res_iii = c.imag_part() - b.derivative().imag_part().scale(Fraction(1, 2))
-        return HermiticityReport(res_i, res_ii, res_iii, measure_corrected=False)
-    log_deriv = PolyX.mono(measure.z_exp, -1)
-    res = b - a.derivative() - a * log_deriv
+    if measure is not None:
+        op = DiffOp.multiplication(PolyX.mono(1, measure.z_exp)).compose(op)
+    a, b, c = (op.coefficient(k) for k in (2, 1, 0))
     return HermiticityReport(
-        a.imag_part(), res, PolyX.zero(), measure_corrected=True
-    )
+        a.imag_part(), a.derivative() - b.real_part(),
+        c.imag_part() - b.derivative().imag_part().scale(Fraction(1, 2)),
+        measure_corrected=measure is not None)

@@ -749,11 +749,14 @@ class TestScan:
 class TestErrorOrder:
     """A command with several bad inputs names the first in the order
     parameters or grid, source, z, c_a: helium takes a c_a that cli looked
-    up, so the order is cli's to keep."""
+    up, so the order is cli's to keep.  spectrum refuses its grid and count
+    before anything else."""
 
     @pytest.mark.parametrize(
         "argv, message",
         [
+            (("spectrum", "--a=0", "--source", "bogus", "--count", "0"),
+             "count must satisfy 1 <= count <= N"),
             (("spectrum", f"--a={10**200}", "--source", "bogus", "--zmin", "-1"),
              "unknown partner-potential source: 'bogus'"),
             (("spectrum", f"--a={10**200}", "--zmin", "-1", "--points", "10"),

@@ -33,6 +33,26 @@ def symmetrization_oracle(f: PolyX, k: int) -> DiffOp:
     ).scale(F(1, 4))
 
 
+def closed_form_weyl(sym) -> DiffOp:
+    """The Weyl rules written out per power of p, the oracle for the
+    composed weyl_order: f(x) p^2 -> -[f D^2 + f' D + f''/4];
+    g(x) p -> -i [g D + g'/2]; h(x) -> multiplication by h."""
+    terms = []
+    for poly, k in sym.terms:
+        if k == 0:
+            terms.append((poly, 0))
+        elif k == 1:
+            d1 = poly.derivative()
+            terms += [(poly.scale(-I), 1), (d1.scale(I * F(-1, 2)), 0)]
+        elif k == 2:
+            d1 = poly.derivative()
+            terms += [(-poly, 2), (-d1, 1),
+                      (d1.derivative().scale(F(-1, 4)), 0)]
+        else:
+            raise UnsupportedDegreeError(f"p^{k} is not supported")
+    return DiffOp(terms)
+
+
 WEYL_KINETIC_BRACKET = DiffOp(
     [
         (PolyX.mono(1, -3), 2),
@@ -110,7 +130,9 @@ def polys(draw):
 @given(polys(), st.integers(0, 2))
 @settings(max_examples=150, deadline=None)
 def test_weyl_rule_matches_oracle(f, k):
-    assert weyl_order(symbol({k: f})) == symmetrization_oracle(f, k)
+    sym = symbol({k: f})
+    assert weyl_order(sym) == symmetrization_oracle(f, k)
+    assert weyl_order(sym) == closed_form_weyl(sym)
 
 
 @st.composite
@@ -138,6 +160,23 @@ def test_weyl_is_linear(s1, s2):
     assert weyl_order(combined) == weyl_order(s1) + weyl_order(s2)
 
 
+def over_measure(mu, op: DiffOp) -> DiffOp:
+    """z^-e o op with e = mu.z_exp: mu^-1 o op up to mu's constant factor."""
+    return DiffOp.multiplication(PolyX.mono(1, -mu.z_exp)).compose(op)
+
+
+@given(real_symbols(), st.fractions(min_value=-5, max_value=5, max_denominator=4))
+@settings(max_examples=60, deadline=None)
+def test_weighted_check_is_the_unit_check_of_mu_op(sym, r):
+    # mu^-1 o W is Hermitian under mu for every Weyl operator W, and an
+    # imaginary potential i x^r spoils it under any real measure
+    mu = measure_of_map(pm_map(3))
+    op = over_measure(mu, weyl_order(sym))
+    assert hermiticity_check(op, measure=mu).passes
+    imaginary = DiffOp.multiplication(PolyX.mono(I, r))
+    assert not hermiticity_check(op + imaginary, measure=mu).passes
+
+
 class TestHermiticity:
     def test_weyl_kinetic_passes_unit_measure(self):
         report = hermiticity_check(WEYL_KINETIC_BRACKET.scale(F(-1, 2)))
@@ -157,6 +196,28 @@ class TestHermiticity:
         mu = measure_of_map(cmap)
         assert not hermiticity_check(op_z).passes  # B != A' at unit measure
         assert hermiticity_check(op_z, measure=mu).passes
+
+    def test_imaginary_potential_fails_with_measure(self):
+        cmap = pm_map(3)
+        op_z = transform_diffop(weyl_order(parse_hamiltonian("p^2/(2*x^3)", {})), cmap)
+        mu = measure_of_map(cmap)
+        report = hermiticity_check(op_z + DiffOp.multiplication(PolyX.const(I)),
+                                   measure=mu)
+        assert not report.passes
+        assert report.measure_corrected
+        # the residuals are those of mu o (op_z + i): only Im C = z^(-3/5)
+        assert report.condition_i.is_zero() and report.condition_ii.is_zero()
+        assert report.condition_iii == PolyX.mono(1, F(-3, 5))
+
+    def test_weighted_weyl_operator_passes_with_measure(self):
+        # mu^-1 o Weyl(x p) = -i z^(3/5) [x D + 1/2]: B is imaginary, yet
+        # mu o op = Weyl(x p) is Hermitian at unit measure
+        mu = measure_of_map(pm_map(3))
+        op = over_measure(mu, weyl_order(parse_hamiltonian("x*p", {})))
+        assert op == DiffOp([(PolyX.mono(1, F(8, 5)), 1),
+                             (PolyX.mono(F(1, 2), F(3, 5)), 0)], prefactor=-I)
+        assert not hermiticity_check(op).passes
+        assert hermiticity_check(op, measure=mu).passes
 
     def test_order_above_two_rejected(self):
         with pytest.raises(UnsupportedDegreeError):

@@ -57,12 +57,12 @@ def long_sum() -> str:
 
 
 def success_set() -> list[list[str]]:
-    """75 success-path commands: params, weyl (one a long sum), match, and
+    """77 success-path commands: params, weyl (one a long sum), match, and
     transform, susy, spectrum and scan at eight orderings with both sources,
     three large grids whose z spans many decades, five exact-layer
     commands with large denominators and complex coefficients over mixed
-    denominators, and four weyl commands whose exponent denominators mix
-    and cancel."""
+    denominators, four weyl commands whose exponent denominators mix
+    and cancel, and two weyl commands with --bind values."""
     cmds = [["params"], ["params", "--pressure-ratio", "0.8"],
             ["weyl", "--hamiltonian", "p^2/(2*x^3)"],
             ["weyl", "--hamiltonian", "p^2/x^3"],
@@ -84,6 +84,9 @@ def success_set() -> list[list[str]]:
         "x^(5/12)*p*x^(-5/12)+x^(3/4)*p^2/x^(1/4)",
         "(x^(1/3)+x^(2/3))^3*p^2/x^2",
         "(x^(1/4)-x^(-1/4))*(x^(1/4)+x^(-1/4))*p")]
+    cmds += [["weyl", "--hamiltonian", "p^2/(2*M*x^3)", "--bind", "M=4"],
+             ["weyl", "--hamiltonian", "K*x^(1/2)*p/x + p^2/(M*x^3)",
+              "--bind", "M=3/7", "--bind", "K=-2"]]
     for a in ORDERINGS:
         cmds.append(["transform", f"--a={a}"])
         for source in SOURCES:
@@ -128,7 +131,7 @@ def error_set() -> list[list[str]]:
     never reads, the parser's refusals of a sum as divisor and of a sum
     power that is fractional, negative or past 16, and spectrum's points x
     count budget, with the invalid --points or --count it leaves to their
-    own refusals."""
+    own refusals and a bad count named before a bad source."""
     nines = "9" * 4096
     spectrum = ["spectrum", "--a=-1/3"]
     return [
@@ -148,6 +151,7 @@ def error_set() -> list[list[str]]:
         ["spectrum", "--a=0", "--points", "-3000", "--count", "-3000"],
         ["spectrum", "--a=0", "--points", "2000", "--count", "5000"],
         ["spectrum", "--a=0", "--source", "bogus", "--points", "2"],
+        ["spectrum", "--a=0", "--source", "bogus", "--count", "0"],
         ["spectrum", "--a=0", "--source", "bogus", "--zmin", "-1"],
         ["spectrum", f"--a={10**200}", "--points", "10"],
         ["spectrum", f"--a={10**200}", "--zmin", "-1", "--points", "10"],
