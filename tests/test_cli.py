@@ -755,8 +755,6 @@ class TestErrorOrder:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (("spectrum", "--a=0", "--source", "bogus", "--count", "0"),
-             "count must satisfy 1 <= count <= N"),
             (("spectrum", f"--a={10**200}", "--source", "bogus", "--zmin", "-1"),
              "unknown partner-potential source: 'bogus'"),
             (("spectrum", f"--a={10**200}", "--zmin", "-1", "--points", "10"),
@@ -766,6 +764,8 @@ class TestErrorOrder:
              "unknown partner-potential source: 'bogus'"),
             (("scan", f"--a={10**200}", "--zmin", "0", "--points", "3"),
              "inverse-square potential requires z > 0"),
+            (("spectrum", "--a=0", "--source", "bogus", "--count", "0"),
+             "count must satisfy 1 <= count <= N"),
         ],
     )
     def test_source_then_z_then_c_a(self, argv, message):
