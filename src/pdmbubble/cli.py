@@ -15,8 +15,7 @@ import sys
 from dataclasses import fields
 from fractions import Fraction
 
-import numpy as np
-
+from . import NUMBER
 from .algebra import Coeff, OrderingParam, PowerLawMass, expand_sandwich
 from .helium import (
     DEFAULT_HE4,
@@ -45,7 +44,6 @@ from .pointmass import (
     transform_diffop,
     unit_measure_restore,
 )
-from .rows import NUMBER, format_rows
 from .spectral import Grid, check_count, check_range, eigenvalues, stencil
 from .susy import (
     commutator_check,
@@ -124,6 +122,7 @@ def _check_solve_work(points: int, count: int) -> None:
 
 def _require_finite(**columns) -> None:
     """Refuse to print a column with a value outside the float range."""
+    import numpy as np
     for name, column in columns.items():
         if not np.isfinite(column).all():
             raise PhysicsError(f"{name} out of float range")
@@ -132,6 +131,7 @@ def _require_finite(**columns) -> None:
 def _write_rows(out, columns, prefix: str = "") -> None:
     """One CSV line per row of the columns, prefix first (see
     ``rows.format_rows``), SCAN_CHUNK rows per write."""
+    from .rows import format_rows  # its digit tables are built with numpy
     for start in range(0, len(columns[0]), SCAN_CHUNK):
         out.write(format_rows([c[start:start + SCAN_CHUNK] for c in columns],
                               prefix))
@@ -281,67 +281,70 @@ def _cmd_match(args, out) -> int:
     return 0
 
 
-@float_errors()
 def _cmd_spectrum(args, out) -> int:
-    # the grid and the count come first: nothing is built for a solve
-    # that cannot run
-    _check_points(args.points)
-    grid = Grid(args.zmin, args.zmax, args.points)
-    check_count(args.count, grid.points)
-    _check_solve_work(args.points, args.count)
-    d = derived_params(_load_params(args))
-    c_a = inverse_square_coefficient(args.a, args.source)
-    # The columns come before the stencil, so the z**2 check fires before
-    # h**2 (h < the largest z) can overflow; the diagonal is (2k/h^2 + V_a) + V_sys.
-    v_a, v_sys = potential_profile(c_a, d, z_powers(grid.interior))
-    matrix = stencil(-d.k, grid, v_a, v_sys)
-    levels = np.array(eigenvalues(matrix, args.count, grid).eigenvalues)
-    levels_eV = levels / EV
-    _require_finite(eigenvalue_J=levels, eigenvalue_eV=levels_eV)
-    out.write("index,eigenvalue_J,eigenvalue_eV\n")
-    _write_rows(out, (np.arange(len(levels)), levels, levels_eV))
-    return 0
+    import numpy as np
+    with float_errors():
+        # the grid and the count come first: nothing is built for a solve
+        # that cannot run
+        _check_points(args.points)
+        grid = Grid(args.zmin, args.zmax, args.points)
+        check_count(args.count, grid.points)
+        _check_solve_work(args.points, args.count)
+        d = derived_params(_load_params(args))
+        c_a = inverse_square_coefficient(args.a, args.source)
+        # The columns come before the stencil, so the z**2 check fires before
+        # h**2 (h < the largest z) can overflow; the diagonal is
+        # (2k/h^2 + V_a) + V_sys.
+        v_a, v_sys = potential_profile(c_a, d, z_powers(grid.interior))
+        matrix = stencil(-d.k, grid, v_a, v_sys)
+        levels = np.array(eigenvalues(matrix, args.count, grid).eigenvalues)
+        levels_eV = levels / EV
+        _require_finite(eigenvalue_J=levels, eigenvalue_eV=levels_eV)
+        out.write("index,eigenvalue_J,eigenvalue_eV\n")
+        _write_rows(out, (np.arange(len(levels)), levels, levels_eV))
+        return 0
 
 
-@float_errors()
 def _cmd_scan(args, out) -> int:
-    _check_points(args.points)
-    if args.points < 2:
-        raise ValueError("--points must be at least 2")
-    check_range(args.zmin, args.zmax)
-    base = _load_params(args)
-    ratios = sorted(float(r) for r in args.pressures.split(","))
-    # the same float operations, in the same order, as
-    # zmin + i * (zmax - zmin) / (points - 1) on Python floats
-    zs = args.zmin + np.arange(args.points) * (args.zmax - args.zmin) / (
-        args.points - 1)
-    # every ratio is validated before the first line is written
-    states = [
-        (ratio, derived_params(base.with_pressure(ratio * base.P_v)))
-        for ratio in ratios
-    ]
-    c_a = inverse_square_coefficient(args.a, args.source)
-    powers = z_powers(zs)  # the same for every table
+    import numpy as np
+    with float_errors():
+        _check_points(args.points)
+        if args.points < 2:
+            raise ValueError("--points must be at least 2")
+        check_range(args.zmin, args.zmax)
+        base = _load_params(args)
+        ratios = sorted(float(r) for r in args.pressures.split(","))
+        # the same float operations, in the same order, as
+        # zmin + i * (zmax - zmin) / (points - 1) on Python floats
+        zs = args.zmin + np.arange(args.points) * (args.zmax - args.zmin) / (
+            args.points - 1)
+        # every ratio is validated before the first line is written
+        states = [
+            (ratio, derived_params(base.with_pressure(ratio * base.P_v)))
+            for ratio in ratios
+        ]
+        c_a = inverse_square_coefficient(args.a, args.source)
+        powers = z_powers(zs)  # the same for every table
 
-    def table(d):
-        v_a, v_sys = potential_profile(c_a, d, powers)
-        columns = (powers.z, v_a / EV, v_sys / EV, (v_a + v_sys) / EV)
-        _require_finite(V_a_eV=columns[1], V_sys_eV=columns[2],
-                        V_total_eV=columns[3])
-        return columns
+        def table(d):
+            v_a, v_sys = potential_profile(c_a, d, powers)
+            columns = (powers.z, v_a / EV, v_sys / EV, (v_a + v_sys) / EV)
+            _require_finite(V_a_eV=columns[1], V_sys_eV=columns[2],
+                            V_total_eV=columns[3])
+            return columns
 
-    # every table is checked before the header; the first is checked last
-    # and kept, so a one-ratio scan computes its table once
-    for _, d in states[1:]:
-        table(d)
-    columns = table(states[0][1])
-    out.write("pressure_ratio,z,V_a_eV,V_sys_eV,V_total_eV\n")
-    for i, (ratio, d) in enumerate(states):
-        if i:
-            columns = table(d)
-        _write_rows(out, columns, _fmt(ratio) + ",")
-        del columns  # one table in memory at a time
-    return 0
+        # every table is checked before the header; the first is checked last
+        # and kept, so a one-ratio scan computes its table once
+        for _, d in states[1:]:
+            table(d)
+        columns = table(states[0][1])
+        out.write("pressure_ratio,z,V_a_eV,V_sys_eV,V_total_eV\n")
+        for i, (ratio, d) in enumerate(states):
+            if i:
+                columns = table(d)
+            _write_rows(out, columns, _fmt(ratio) + ",")
+            del columns  # one table in memory at a time
+        return 0
 
 
 # ------------------------------------------------------------------ wiring

@@ -8,14 +8,17 @@ of the effective z-space Hamiltonian, V_a = k c_a / z^2 and V_sys, are
 computed, from a number c_a (nothing of the exact layer is imported) on the
 ``ZPowers`` of a z column, which ``z_powers`` checks.  Everything here is in
 joules: the eV columns belong to ``cli`` and the row formatting to ``rows``.
+The scalar scales need no numpy; the column functions import it on first use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Pinned constants (SI).
 PLANCK_H = 6.62607015e-34       # J s
@@ -145,12 +148,13 @@ def derived_params(p: PhysicalParams) -> DerivedParams:
 
 
 def float_errors() -> np.errstate:
-    """The numeric layer's float-error policy, a context or decorator: column
+    """The numeric layer's float-error policy, a context for ``with``: column
     arithmetic overflows to inf and makes nan silently, as Python's float
     arithmetic does on one point, and a check refuses the result (z_powers a
     z out of range, potential_profile a V_sys, and in cli eigenvalues a
     non-finite matrix and _require_finite a printed column).  A new one per
     use, as numpy before 2.0 keeps an errstate's saved state on the object."""
+    import numpy as np
     return np.errstate(over="ignore", invalid="ignore")
 
 
@@ -169,28 +173,28 @@ class ZPowers:
         return len(self.z)
 
 
-@float_errors()
 def z_powers(zs) -> ZPowers:
     """z**2, z**0.8 and z**0.4 on a column of z (see ZPowers).  The first z
     in order that is not in (0, inf), or whose z**2 leaves the float range,
     is refused.  np.float_power's float64 loop calls the C library's pow, as
     Python's float ``**`` does, so each power has the one-point bits; numpy's
     own ``**`` loop differs from it in the last bit at some points."""
-    z = np.asarray(zs, dtype=float)
-    z2 = np.float_power(z, 2)
-    ok = (0 < z) & (z < math.inf) & (0 < z2) & (z2 < math.inf)
-    if not ok.all():
-        x = float(z[np.argmin(ok)])
-        if not 0 < x < math.inf:
-            why = "z > 0" if x <= 0 else "finite z"
-            raise PhysicsError(f"inverse-square potential requires {why}")
-        raise PhysicsError(
-            f"inverse-square potential: z**2 out of float range at z = {x:g}"
-        )
-    return ZPowers(z, z2, np.float_power(z, 0.8), np.float_power(z, 0.4))
+    import numpy as np
+    with float_errors():
+        z = np.asarray(zs, dtype=float)
+        z2 = np.float_power(z, 2)
+        ok = (0 < z) & (z < math.inf) & (0 < z2) & (z2 < math.inf)
+        if not ok.all():
+            x = float(z[np.argmin(ok)])
+            if not 0 < x < math.inf:
+                why = "z > 0" if x <= 0 else "finite z"
+                raise PhysicsError(f"inverse-square potential requires {why}")
+            raise PhysicsError(
+                f"inverse-square potential: z**2 out of float range at z = {x:g}"
+            )
+        return ZPowers(z, z2, np.float_power(z, 0.8), np.float_power(z, 0.4))
 
 
-@float_errors()
 def potential_profile(c_a, dp: DerivedParams,
                       p: ZPowers) -> tuple[np.ndarray, np.ndarray]:
     """V_a = k c_a / z^2 and V_sys = U0 z^{4/5} (1 - z^{2/5}) (J) on the z
@@ -198,20 +202,22 @@ def potential_profile(c_a, dp: DerivedParams,
     -k d^2/dz^2 + k c_a / z^2 + V_sys(z).  c_a is a number (the exact layer's
     ``susy.inverse_square_coefficient`` gives it for an ordering); a c_a, and
     then the first V_sys, out of the float range is refused."""
-    try:
-        c_a = float(c_a)
-    except OverflowError:
-        raise PhysicsError(
-            "inverse-square potential: c_a out of float range"
-        ) from None
-    v_a = (dp.k * c_a) / p.z2
-    # + 0.0: an underflowed U0 = 0 gives -0.0 at z > 1, printed as 0.0
-    v_sys = dp.U0 * p.p08 * (1.0 - p.p04) + 0.0
-    ok = np.isfinite(v_sys)
-    if not ok.all():
-        x = float(p.z[np.argmin(ok)])
-        raise PhysicsError(f"v_sys out of float range at z = {x:g}")
-    return v_a, v_sys
+    import numpy as np
+    with float_errors():
+        try:
+            c_a = float(c_a)
+        except OverflowError:
+            raise PhysicsError(
+                "inverse-square potential: c_a out of float range"
+            ) from None
+        v_a = (dp.k * c_a) / p.z2
+        # + 0.0: an underflowed U0 = 0 gives -0.0 at z > 1, printed as 0.0
+        v_sys = dp.U0 * p.p08 * (1.0 - p.p04) + 0.0
+        ok = np.isfinite(v_sys)
+        if not ok.all():
+            x = float(p.z[np.argmin(ok)])
+            raise PhysicsError(f"v_sys out of float range at z = {x:g}")
+        return v_a, v_sys
 
 
 def barrier_info(dp: DerivedParams, c0: float = 0.0) -> tuple[float, float]:

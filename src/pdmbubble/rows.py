@@ -13,8 +13,7 @@ import sys
 
 import numpy as np
 
-#: Every printed float: 12 significant digits, scientific notation.
-NUMBER = "%.11e"
+from . import NUMBER
 
 
 def _table(strings: list[str]) -> np.ndarray:

@@ -6,7 +6,8 @@ grid, Dirichlet boundaries); the lowest eigenvalues come from LAPACK's
 Sturm-sequence bisection driver ``dstebz``.  It is called from scipy's
 compiled ``scipy.linalg._flapack`` module, loaded on first use without
 ``scipy/linalg/__init__.py``: that package's array-API shims take about
-180 ms to import, the one extension module a few ms.
+180 ms to import, the one extension module a few ms.  numpy, too, is
+imported by the first function that builds or reads an array.
 """
 
 from __future__ import annotations
@@ -18,10 +19,12 @@ import sys
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .algebra import DiffOp, DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class AssembleError(ValueError):
@@ -61,6 +64,7 @@ class Grid:
 
     @property
     def interior(self) -> np.ndarray:
+        import numpy as np
         # Dirichlet: unknowns live strictly inside [z_min, z_max]
         return self.z_min + self.h * np.arange(1, self.points + 1)
 
@@ -79,6 +83,7 @@ class SymTriMatrix:
         return len(self.diagonal)
 
     def max_difference(self, other: "SymTriMatrix") -> float:
+        import numpy as np
         if self.size != other.size:
             raise ValueError("size mismatch")
         return max(
@@ -95,6 +100,7 @@ class SpectralResult:
 def stencil(a_val: float, grid: Grid, *columns) -> SymTriMatrix:
     """3-point stencil for A D^2 + C with constant A: diag_i = -2A/h^2 + C(z_i),
     off_i = A/h^2; C is one or more columns on grid.interior, summed in order."""
+    import numpy as np
     h2 = grid.h**2
     diag = sum(columns, np.full(grid.points, -2.0 * a_val / h2))
     off = np.full(grid.points - 1, a_val / h2)
@@ -152,6 +158,7 @@ def eigenvalues(matrix: SymTriMatrix, count: int,
                 grid: Grid | None = None) -> SpectralResult:
     """The `count` smallest eigenvalues, by Sturm-sequence bisection.  A grid,
     if given, is named when the solve does not converge."""
+    import numpy as np
     check_count(count, matrix.size)
     d = np.asarray_chkfinite(matrix.diagonal)  # scipy's refusal, word for word
     e = np.asarray_chkfinite(matrix.off_diagonal)

@@ -317,6 +317,19 @@ class TestColumns:
                     "z**2 out of float range at z = 1e+200")):
                 z_powers([1.0, 1e200])
 
+    @pytest.mark.parametrize("compute, message", [
+        (lambda: z_powers([1e200]),
+         "inverse-square potential: z**2 out of float range at z = 1e+200"),
+        (lambda: profile([3.0], U0=1e308), "v_sys out of float range at z = 3"),
+    ], ids=["z_powers", "potential_profile"])
+    def test_overflow_keeps_the_float_error_policy(self, compute, message):
+        # each call overflows, so numpy would warn, and under "error" raise
+        # a RuntimeWarning, were the call outside float_errors
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PhysicsError, match=re.escape(message)):
+                compute()
+
     def test_v_sys_out_of_float_range_names_the_first_z(self):
         with pytest.raises(
             PhysicsError, match=re.escape("v_sys out of float range at z = 1e+10")

@@ -23,12 +23,15 @@ def run_fresh(code: str) -> str:
     return proc.stdout
 
 
-def loaded_after_import(module: str) -> str:
+LOADED = "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
+
+
+def loaded_after_import(*modules: str) -> str:
     """Which of numpy and scipy a fresh interpreter holds after importing
-    pdmbubble.<module>, as printed by that interpreter."""
+    each pdmbubble.<module>, as printed by that interpreter."""
     return run_fresh(
-        f"import sys, pdmbubble.{module}\n"
-        "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"
+        "import sys, " + ", ".join(f"pdmbubble.{m}" for m in modules) + "\n"
+        + LOADED
     )
 
 
@@ -49,11 +52,28 @@ def test_helium_imports_without_the_exact_layer():
     ) == "[]\n"
 
 
-def test_cli_imports_numpy_without_scipy():
-    """No scipy module is loaded until eigenvalues are taken, so the commands
-    that take none do not pay for it; see the test below for what a spectrum
-    loads."""
-    assert loaded_after_import("cli") == "['numpy']\n"
+def test_numeric_layer_imports_without_numpy_or_scipy():
+    """cli, helium and spectral import numpy on their first numeric call and
+    scipy's LAPACK module on the first eigen-solve, so importing them loads
+    neither; see the tests below for what the commands load."""
+    assert loaded_after_import("cli", "helium", "spectral") == "[]\n"
+
+
+def test_exact_commands_run_without_numpy_and_scan_without_scipy():
+    """weyl, susy, transform, match and params compute exactly or on Python
+    floats, so none of them loads numpy or scipy; a scan loads numpy alone."""
+    exact = (["weyl", "--hamiltonian", "p^2/x^3"], ["susy", "--a=-1/3"],
+             ["transform", "--a=-1/3"], ["match"], ["params"])
+    code = (
+        "import io, sys\n"
+        "from pdmbubble import cli\n"
+        f"for argv in {exact!r}:\n"
+        "    assert cli.run(argv, io.StringIO()) == 0, argv\n"
+        + LOADED
+        + "assert cli.run(['scan'], io.StringIO()) == 0\n"
+        + LOADED
+    )
+    assert run_fresh(code) == "[]\n['numpy']\n"
 
 
 def test_spectrum_loads_flapack_without_scipy_linalg():
