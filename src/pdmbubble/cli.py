@@ -45,14 +45,7 @@ from .pointmass import (
     unit_measure_restore,
 )
 from .spectral import Grid, check_count, check_range, eigenvalues, stencil
-from .susy import (
-    commutator_check,
-    inverse_square_coefficient,
-    ladder_operator,
-    normalize_source,
-    partner_potential,
-    superpotential,
-)
+from .susy import factorize, inverse_square_coefficient, normalize_source
 from .weyl import hermiticity_check, weyl_order
 
 #: What a command may raise on bad input: every error class the package
@@ -218,24 +211,20 @@ def _cmd_weyl(args, out) -> int:
 
 def _cmd_susy(args, out) -> int:
     source = normalize_source(args.source)
-    mass = PowerLawMass(Fraction(3))
     ordp = OrderingParam(args.a)
-    w = superpotential(mass, ordp)
-    v_plus = partner_potential(mass, ordp, "+", source)
-    v_minus = partner_potential(mass, ordp, "-", source)
-    a_minus = ladder_operator(mass, ordp, "-")
+    susy = factorize(PowerLawMass(Fraction(3)), ordp)
     data = {
         "a": str(ordp.a),
         "b": str(ordp.b),
         "source": source,
         "paper_source_available": True,
-        "W": w.W.to_jsonable(),
-        "V_plus": v_plus.V.to_jsonable(),
-        "V_minus": v_minus.V.to_jsonable(),
+        "W": susy.W.to_jsonable(),
+        "V_plus": susy.partner("+", source).V.to_jsonable(),
+        "V_minus": susy.partner("-", source).V.to_jsonable(),
         "c_a": str(inverse_square_coefficient(ordp.a, source)),
         "checks": {
-            "commutator_zero": commutator_check(mass, ordp).is_zero(),
-            "sum_is_multiplication": (a_minus.adjoint() + a_minus).order == 0,
+            "commutator_zero": susy.commutator_residual().is_zero(),
+            "sum_is_multiplication": (susy.plus + susy.minus).order == 0,
         },
     }
     _emit_json(data, out)

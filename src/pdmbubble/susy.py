@@ -1,18 +1,20 @@
 """Supersymmetric factorization of the power-law-mass kinetic family.
 
-Builds the superpotential and ladder operators, verifies the Heisenberg
+Builds the superpotential and the factorization, verifies the Heisenberg
 algebra, extracts partner potentials by two routes, and gives the
 inverse-square coefficient c_a and the symbolic operator in the oscillator
 variable z.  c_a is the one number ``helium.potential_profile`` takes from
 this layer, passed in by ``cli``, to tabulate the potentials of the same
 Hamiltonian in joules.
 
-Two partner-potential sources are carried side by side:
+``factorize`` composes K = (1/sqrt2) m^b D m^a, A- = K + W, A+ = (A-)^dagger,
+H+ = A+ A- and H- = A- A+ once per mass and ordering.  Two partner-potential
+sources are carried side by side:
 
 * ``paper``    -- literal transcription of the published closed form
                   (n = 3 only);
-* ``expanded`` -- exact operator subtraction A(+-) A(-+) minus the kinetic
-                  sandwich.
+* ``expanded`` -- H+- less its kinetic half: K^dagger K, the sandwich at a,
+                  for V+, and K K^dagger, the sandwich at b, for V-.
 
 ``paper``'s V+ and c_a at a equal ``expanded``'s at the dual ordering
 b = -1/2 - a, so at the same a they agree only at a = -1/4; V- agrees at every
@@ -32,7 +34,6 @@ from .algebra import (
     PolyX,
     PowerLawMass,
     _frac,
-    expand_sandwich,
 )
 
 SOURCE_PAPER = "paper"
@@ -71,38 +72,6 @@ def superpotential(mass: PowerLawMass, ord: OrderingParam) -> Superpotential:
     return Superpotential(W=PolyX([(grow, half), (sing, -half)]))
 
 
-def ladder_operator(mass: PowerLawMass, ord: OrderingParam, sign: str) -> DiffOp:
-    """A- = (1/sqrt2) m^b D m^a + W, and A+ as its formal adjoint,
-    -(1/sqrt2) m^a D m^b + W (W is real)."""
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
-    minus = (
-        DiffOp.multiplication(mass.power(ord.b))
-        .compose(DiffOp.derivative())
-        .compose(DiffOp.multiplication(mass.power(ord.a)))
-        .scale(Coeff.sqrt2(Fraction(1, 2)))  # 1/sqrt2 = sqrt2/2
-        + DiffOp.multiplication(superpotential(mass, ord).W)
-    )
-    return minus if sign == "-" else minus.adjoint()
-
-
-def ladder_product(mass: PowerLawMass, ord: OrderingParam, sign: str) -> DiffOp:
-    """H(sign) = A(sign) A(-sign), expanded to normal order."""
-    minus = ladder_operator(mass, ord, "-")
-    plus = minus.adjoint()
-    if sign == "+":
-        return plus.compose(minus)
-    if sign == "-":
-        return minus.compose(plus)
-    raise ValueError("sign must be '+' or '-'")
-
-
-def commutator_check(mass: PowerLawMass, ord: OrderingParam) -> DiffOp:
-    """[A-, A+] - 1; the zero operator iff the Heisenberg algebra holds."""
-    minus = ladder_operator(mass, ord, "-")
-    return minus.commutator(minus.adjoint()) - DiffOp.identity()
-
-
 @dataclass(frozen=True)
 class PartnerPotential:
     """Derivative-free part of A(sign) A(-sign)."""
@@ -122,35 +91,87 @@ def _paper_quadratic(a: Fraction) -> Fraction:
     return c2 * a * a + c1 * a + c0
 
 
-def _paper_partner(ord: OrderingParam, sign: str) -> PolyX:
-    inv5 = _paper_quadratic(ord.a) / 32
-    shift = Fraction(-1, 2) if sign == "+" else Fraction(1, 2)
-    return PolyX([(inv5, -5), (Fraction(2, 25), 5), (shift, 0)])
-
-
-def partner_potential(
-    mass: PowerLawMass, ord: OrderingParam, sign: str, source: str
-) -> PartnerPotential:
-    """V(sign) by literal transcription ('paper', n = 3 only) or by exact
-    operator subtraction of the kinetic sandwich ('expanded')."""
-    source = normalize_source(source)
+def _check_sign(sign: str) -> None:
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    if source == SOURCE_PAPER:
-        if mass.n != 3:
-            raise ValueError("paper source is transcribed for n = 3 only")
-        return PartnerPotential(V=_paper_partner(ord, sign), sign=sign, source=source)
-    product = ladder_product(mass, ord, sign)
-    # A(-) A(+) leaves the sandwich with a and b swapped: ordering b, since
-    # -1/2 - b = a.
-    kinetic = expand_sandwich(mass, ord if sign == "+" else OrderingParam(ord.b))
-    residual = product - kinetic
-    if residual.order != 0:
-        raise AlgebraError(
-            "partner-potential subtraction left derivative terms; "
-            "algebra inconsistency"
-        )
-    return PartnerPotential(V=residual.coefficient(0), sign=sign, source=source)
+
+
+@dataclass(frozen=True)
+class Factorization:
+    """K, A-, A+, H+ and H- for one mass and ordering (see ``factorize``)."""
+
+    mass: PowerLawMass
+    ord: OrderingParam
+    W: PolyX
+    kinetic: DiffOp
+    minus: DiffOp
+    plus: DiffOp
+    h_plus: DiffOp
+    h_minus: DiffOp
+
+    def commutator_residual(self) -> DiffOp:
+        """[A-, A+] - 1 = H- - H+ - 1; zero iff the Heisenberg algebra holds."""
+        return self.h_minus - self.h_plus - DiffOp.identity()
+
+    def partner(self, sign: str, source: str) -> PartnerPotential:
+        """V(sign): the 'paper' transcription, or H(sign) less K^dagger K
+        (the sandwich at a) for + and less K K^dagger (at b) for -."""
+        source = normalize_source(source)
+        if source == SOURCE_PAPER:
+            return partner_potential(self.mass, self.ord, sign, source)
+        _check_sign(sign)
+        dagger = self.kinetic.adjoint()
+        if sign == "+":
+            residual = self.h_plus - dagger.compose(self.kinetic)
+        else:
+            residual = self.h_minus - self.kinetic.compose(dagger)
+        if residual.order != 0:
+            raise AlgebraError("partner-potential subtraction left derivative "
+                               "terms; algebra inconsistency")
+        return PartnerPotential(V=residual.coefficient(0), sign=sign, source=source)
+
+
+def factorize(mass: PowerLawMass, ord: OrderingParam) -> Factorization:
+    """The factorization H+ = A+ A- of the kinetic family at ordering a."""
+    W = superpotential(mass, ord).W
+    kinetic = (
+        DiffOp.multiplication(mass.power(ord.b))
+        .compose(DiffOp.derivative())
+        .compose(DiffOp.multiplication(mass.power(ord.a)))
+        .scale(Coeff.sqrt2(Fraction(1, 2)))  # 1/sqrt2 = sqrt2/2
+    )
+    minus = kinetic + DiffOp.multiplication(W)
+    plus = minus.adjoint()
+    return Factorization(mass, ord, W, kinetic, minus, plus,
+                         h_plus=plus.compose(minus), h_minus=minus.compose(plus))
+
+
+def ladder_product(mass: PowerLawMass, ord: OrderingParam, sign: str) -> DiffOp:
+    """H(sign) = A(sign) A(-sign), expanded to normal order."""
+    _check_sign(sign)
+    f = factorize(mass, ord)
+    return f.h_plus if sign == "+" else f.h_minus
+
+
+def commutator_check(mass: PowerLawMass, ord: OrderingParam) -> DiffOp:
+    """[A-, A+] - 1; the zero operator iff the Heisenberg algebra holds."""
+    return factorize(mass, ord).commutator_residual()
+
+
+def partner_potential(mass: PowerLawMass, ord: OrderingParam, sign: str,
+                      source: str) -> PartnerPotential:
+    """V(sign) by literal transcription ('paper', n = 3 only), which builds
+    no operator, or by ``Factorization.partner`` ('expanded')."""
+    source = normalize_source(source)
+    _check_sign(sign)
+    if source == SOURCE_EXPANDED:
+        return factorize(mass, ord).partner(sign, source)
+    if mass.n != 3:
+        raise ValueError("paper source is transcribed for n = 3 only")
+    inv5 = _paper_quadratic(ord.a) / 32
+    shift = Fraction(-1, 2) if sign == "+" else Fraction(1, 2)
+    V = PolyX([(inv5, -5), (Fraction(2, 25), 5), (shift, 0)])
+    return PartnerPotential(V=V, sign=sign, source=source)
 
 
 def inverse_square_coefficient(a, source: str) -> Fraction:

@@ -19,8 +19,8 @@ from pdmbubble.helium import (
 )
 from pdmbubble.susy import (
     commutator_check,
+    factorize,
     inverse_square_coefficient,
-    ladder_operator,
     ladder_product,
     normalize_source,
     partner_potential,
@@ -30,6 +30,7 @@ from pdmbubble.susy import (
 
 N3 = PowerLawMass(F(3))
 TEST_A_VALUES = [F(-1), F(-1, 3), F(-1, 4), F(-1, 6), F(0), F(1, 2)]
+MASS_EXPONENTS = (F(3), F(5, 2), F(7, 3), F(2), F(0))
 
 
 def sqrt2(mult):
@@ -55,33 +56,32 @@ class TestSuperpotential:
 
 class TestLadderOperators:
     def test_lowering_operator_a_zero(self):
-        op = ladder_operator(N3, OrderingParam(F(0)), "-")
+        op = factorize(N3, OrderingParam(F(0))).minus
         assert op.coefficient(1) == PolyX.mono(sqrt2(F(1, 2)), F(-3, 2))
         w = superpotential(N3, OrderingParam(F(0))).W
         assert op.coefficient(0) == w  # m^a = 1 adds nothing at a = 0
 
     def test_constant_mass_oscillator_shape(self):
         mass = PowerLawMass(F(0))
-        minus = ladder_operator(mass, OrderingParam(F(0)), "-")
-        plus = ladder_operator(mass, OrderingParam(F(0)), "+")
+        susy = factorize(mass, OrderingParam(F(0)))
+        minus, plus = susy.minus, susy.plus
         assert minus.coefficient(1) == PolyX.const(sqrt2(F(1, 2)))
         assert plus.coefficient(1) == PolyX.const(sqrt2(F(-1, 2)))
         assert minus.coefficient(0) == plus.coefficient(0)
 
     @pytest.mark.parametrize("a", TEST_A_VALUES)
     def test_sum_is_growing_monomial(self, a):
-        plus = ladder_operator(N3, OrderingParam(a), "+")
-        minus = ladder_operator(N3, OrderingParam(a), "-")
-        total = plus + minus
+        susy = factorize(N3, OrderingParam(a))
+        total = susy.plus + susy.minus
         assert total.order == 0
         assert total.coefficient(0) == PolyX.mono(sqrt2(F(2, 5)), F(5, 2))
 
     @pytest.mark.parametrize("a", TEST_A_VALUES)
     def test_raising_is_adjoint_of_lowering(self, a):
-        # ladder_operator takes A+ as the adjoint of A-; compose the adjoint's
+        # factorize takes A+ as the adjoint of A-; compose the adjoint's
         # closed form -(1/sqrt2) m^a D m^b + W here instead
         ordp = OrderingParam(a)
-        for n in (F(3), F(5, 2), F(7, 3), F(2), F(0)):
+        for n in MASS_EXPONENTS:
             mass = PowerLawMass(n)
             expected = (
                 DiffOp.multiplication(mass.power(ordp.a))
@@ -89,13 +89,59 @@ class TestLadderOperators:
                 .compose(DiffOp.multiplication(mass.power(ordp.b)))
                 .scale(sqrt2(F(-1, 2)))
             ) + DiffOp.multiplication(superpotential(mass, ordp).W)
-            assert ladder_operator(mass, ordp, "+") == expected
+            assert factorize(mass, ordp).plus == expected
 
     @pytest.mark.parametrize("sign", ["", "+-"])
     def test_sign_is_one_character_of_two(self, sign):
         # a substring test would take "" and "+-" for a sign
         with pytest.raises(ValueError, match=r"^sign must be '\+' or '-'$"):
-            ladder_operator(N3, OrderingParam(F(0)), sign)
+            ladder_product(N3, OrderingParam(F(0)), sign)
+
+
+class TestFactorization:
+    @pytest.mark.parametrize("a", TEST_A_VALUES)
+    @pytest.mark.parametrize("n", MASS_EXPONENTS)
+    def test_kinetic_halves_are_the_sandwiches_at_a_and_b(self, n, a):
+        # the identity the expanded partner route rests on: K^dagger K is the
+        # sandwich at a, K K^dagger the sandwich at b = -1/2 - a
+        mass, ordp = PowerLawMass(n), OrderingParam(a)
+        k = factorize(mass, ordp).kinetic
+        assert k.adjoint().compose(k) == expand_sandwich(mass, ordp)
+        assert k.compose(k.adjoint()) == expand_sandwich(
+            mass, OrderingParam(ordp.b))
+
+    @pytest.mark.parametrize("a", TEST_A_VALUES)
+    @pytest.mark.parametrize("n", MASS_EXPONENTS)
+    def test_products_and_residual_from_the_ladder_operators(self, n, a):
+        mass, ordp = PowerLawMass(n), OrderingParam(a)
+        susy = factorize(mass, ordp)
+        assert susy.minus == susy.kinetic + DiffOp.multiplication(
+            superpotential(mass, ordp).W)
+        assert susy.h_plus == susy.plus.compose(susy.minus)
+        assert susy.h_minus == susy.minus.compose(susy.plus)
+        assert susy.commutator_residual() == (
+            susy.minus.commutator(susy.plus) - DiffOp.identity())
+        assert susy.commutator_residual().is_zero()
+
+    @pytest.mark.parametrize("a", TEST_A_VALUES)
+    @pytest.mark.parametrize("source", ["paper", "paper-eq12", "expanded"])
+    def test_partner_method_matches_module_function(self, a, source):
+        ordp = OrderingParam(a)
+        susy = factorize(N3, ordp)
+        for sign in "+-":
+            assert susy.partner(sign, source) == partner_potential(
+                N3, ordp, sign, source)
+
+    def test_error_order_source_then_sign_then_exponent(self):
+        n2, zero = PowerLawMass(F(2)), OrderingParam(F(0))
+        with pytest.raises(ValueError, match="unknown partner-potential"):
+            partner_potential(n2, zero, "x", "weyl")
+        with pytest.raises(ValueError, match=r"^sign must be '\+' or '-'$"):
+            partner_potential(n2, zero, "x", "paper")
+        with pytest.raises(ValueError, match="n = 3 only"):
+            partner_potential(n2, zero, "+", "paper")
+        with pytest.raises(ValueError, match=r"^sign must be '\+' or '-'$"):
+            factorize(n2, zero).partner("x", "expanded")
 
 
 class TestHeisenbergAlgebra:

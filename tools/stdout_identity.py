@@ -57,9 +57,10 @@ def long_sum() -> str:
 
 
 def success_set() -> list[list[str]]:
-    """77 success-path commands: params, weyl (one a long sum), match, and
-    transform, susy, spectrum and scan at eight orderings with both sources,
-    three large grids whose z spans many decades, five exact-layer
+    """79 success-path commands: params, weyl (one a long sum), match, susy
+    and match under the source alias paper-eq12, transform, susy, spectrum
+    and scan at eight orderings with both sources, three large grids
+    whose z spans many decades, five exact-layer
     commands with large denominators and complex coefficients over mixed
     denominators, four weyl commands whose exponent denominators mix
     and cancel, and two weyl commands with --bind values."""
@@ -68,6 +69,8 @@ def success_set() -> list[list[str]]:
             ["weyl", "--hamiltonian", "p^2/x^3"],
             ["weyl", "--hamiltonian", long_sum()],
             ["match", "--source", "expanded"], ["match", "--source", "paper"],
+            ["susy", "--a=-1/3", "--source", "paper-eq12"],
+            ["match", "--source", "paper-eq12"],
             ["scan", "--zmin", "1e-8", "--zmax", "1e3", "--points", "200000",
              "--pressures", "0.5,0.9"],
             ["scan", "--zmin", "1e-150", "--zmax", "1e150",
