@@ -14,6 +14,7 @@ monomial pair at a time by the Leibniz rule (_leibniz).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -33,6 +34,33 @@ class DomainError(AlgebraError):
 
 class ExactnessError(AlgebraError):
     """An operation would leave the exact coefficient field."""
+
+
+def _last_result(fn):
+    """Decorate a pure function so that a call with the same arguments as
+    the call before it returns that call's (immutable) result.
+
+    One (args, result) pair is kept and read into a local before it is
+    compared, so a thread never pairs one call's args with another's
+    result.  A call with other arguments recomputes and replaces the pair.
+    The wrapper is a plain function carrying ``fn``'s name and module, so a
+    tracer that wraps a module's functions still times it; an
+    ``functools.lru_cache`` object would be skipped, and would keep every
+    ordering it saw.
+    """
+    last = None
+
+    @functools.wraps(fn)
+    def memo(*args):
+        nonlocal last
+        entry = last
+        if entry is not None and entry[0] == args:
+            return entry[1]
+        result = fn(*args)
+        last = (args, result)
+        return result
+
+    return memo
 
 
 def _frac(v) -> Fraction:
@@ -595,10 +623,14 @@ class OrderingParam:
         return Fraction(-1, 2) - self.a
 
 
+@_last_result
 def expand_sandwich(mass: PowerLawMass, ord: OrderingParam) -> DiffOp:
     """The two-parameter kinetic family -(1/2) m^a D m^{2b} D m^a.
 
     Always computed by operator composition, never from a pasted closed form.
+    A call with the same mass and ordering as the call before it returns
+    that call's operator (``_last_result``), so a chain that reads one
+    ordering's sandwich twice composes it once.
     """
     m_out = DiffOp.multiplication(mass.power(ord.a))
     m_in = DiffOp.multiplication(mass.power(2 * ord.b))

@@ -7,9 +7,13 @@ variable z.  c_a is the one number ``helium.potential_profile`` takes from
 this layer, passed in by ``cli``, to tabulate the potentials of the same
 Hamiltonian in joules.
 
-``factorize`` composes K = (1/sqrt2) m^b D m^a, A- = K + W, A+ = (A-)^dagger,
-H+ = A+ A- and H- = A- A+ once per mass and ordering.  Two partner-potential
-sources are carried side by side:
+``factorize`` composes K = (1/sqrt2) m^b D m^a, its adjoint K^dagger,
+A- = K + W, A+ = K^dagger + W (= (A-)^dagger, as W is real), H+ = A+ A- and
+H- = A- A+ once per mass and ordering, and a call with the same mass and
+ordering as the call before it returns that call's ``Factorization``; so
+``commutator_check`` and both expanded ``partner_potential`` calls of one
+ordering share one build.  Two partner-potential sources are carried side by
+side:
 
 * ``paper``    -- literal transcription of the published closed form
                   (n = 3 only);
@@ -34,6 +38,7 @@ from .algebra import (
     PolyX,
     PowerLawMass,
     _frac,
+    _last_result,
 )
 
 SOURCE_PAPER = "paper"
@@ -98,12 +103,14 @@ def _check_sign(sign: str) -> None:
 
 @dataclass(frozen=True)
 class Factorization:
-    """K, A-, A+, H+ and H- for one mass and ordering (see ``factorize``)."""
+    """K, K^dagger, A-, A+, H+ and H- for one mass and ordering (see
+    ``factorize``)."""
 
     mass: PowerLawMass
     ord: OrderingParam
     W: PolyX
     kinetic: DiffOp
+    kinetic_dagger: DiffOp
     minus: DiffOp
     plus: DiffOp
     h_plus: DiffOp
@@ -120,19 +127,20 @@ class Factorization:
         if source == SOURCE_PAPER:
             return partner_potential(self.mass, self.ord, sign, source)
         _check_sign(sign)
-        dagger = self.kinetic.adjoint()
         if sign == "+":
-            residual = self.h_plus - dagger.compose(self.kinetic)
+            residual = self.h_plus - self.kinetic_dagger.compose(self.kinetic)
         else:
-            residual = self.h_minus - self.kinetic.compose(dagger)
+            residual = self.h_minus - self.kinetic.compose(self.kinetic_dagger)
         if residual.order != 0:
             raise AlgebraError("partner-potential subtraction left derivative "
                                "terms; algebra inconsistency")
         return PartnerPotential(V=residual.coefficient(0), sign=sign, source=source)
 
 
+@_last_result
 def factorize(mass: PowerLawMass, ord: OrderingParam) -> Factorization:
-    """The factorization H+ = A+ A- of the kinetic family at ordering a."""
+    """The factorization H+ = A+ A- of the kinetic family at ordering a;
+    the same object as the call before it when mass and ordering repeat."""
     W = superpotential(mass, ord).W
     kinetic = (
         DiffOp.multiplication(mass.power(ord.b))
@@ -140,9 +148,10 @@ def factorize(mass: PowerLawMass, ord: OrderingParam) -> Factorization:
         .compose(DiffOp.multiplication(mass.power(ord.a)))
         .scale(Coeff.sqrt2(Fraction(1, 2)))  # 1/sqrt2 = sqrt2/2
     )
-    minus = kinetic + DiffOp.multiplication(W)
-    plus = minus.adjoint()
-    return Factorization(mass, ord, W, kinetic, minus, plus,
+    kinetic_dagger = kinetic.adjoint()
+    w = DiffOp.multiplication(W)  # real, so its own adjoint
+    minus, plus = kinetic + w, kinetic_dagger + w
+    return Factorization(mass, ord, W, kinetic, kinetic_dagger, minus, plus,
                          h_plus=plus.compose(minus), h_minus=minus.compose(plus))
 
 

@@ -1,7 +1,11 @@
 import copy
+import inspect
 import math
 import pickle
 import random
+import sys
+import threading
+import time
 from fractions import Fraction as F
 from math import comb
 
@@ -18,6 +22,7 @@ from pdmbubble.algebra import (
     PowerLawMass,
     expand_sandwich,
 )
+from pdmbubble.susy import factorize
 
 
 def rand_fraction(rng, span=6, den=4):
@@ -182,6 +187,68 @@ class TestExpandSandwich:
             op = expand_sandwich(PowerLawMass(n), OrderingParam(a))
             assert op.coefficient(2) == PolyX.mono(F(-1, 2), -n)
             assert op.coefficient(1) == PolyX.mono(n / 2, -n - 1)
+
+
+    @pytest.mark.parametrize("a", [F(-1), F(-1, 3), F(-1, 4), F(-1, 6), F(0),
+                                   F(1, 2)])
+    @pytest.mark.parametrize("n", [F(3), F(5, 2), F(7, 3), F(2), F(0)])
+    def test_matches_the_undecorated_composition(self, n, a):
+        args = PowerLawMass(n), OrderingParam(a)
+        assert expand_sandwich(*args) == expand_sandwich.__wrapped__(*args)
+
+
+@pytest.mark.parametrize("fn", [expand_sandwich, factorize],
+                         ids=["expand_sandwich", "factorize"])
+class TestLastResult:
+    """The one-entry memo on expand_sandwich and factorize."""
+
+    def test_a_repeated_call_returns_the_same_object(self, fn):
+        args = PowerLawMass(F(3)), OrderingParam(F(-1, 3))
+        assert fn(*args) is fn(*args)
+
+    def test_only_the_last_call_is_kept(self, fn):
+        mass = PowerLawMass(F(5, 2))
+        first = fn(mass, OrderingParam(F(1, 6)))
+        fn(mass, OrderingParam(F(-2, 7)))
+        again = fn(mass, OrderingParam(F(1, 6)))
+        assert again == first
+        assert again is not first
+
+    def test_stays_a_plain_function_of_its_module(self, fn):
+        # bench/tracing.py wraps only inspect.isfunction objects whose
+        # __module__ is the layer module they are bound in
+        assert inspect.isfunction(fn)
+        assert fn.__module__ == fn.__wrapped__.__module__
+        assert fn.__module__ in ("pdmbubble.algebra", "pdmbubble.susy")
+
+    def test_threads_alternating_orderings_get_their_own(self, fn):
+        mass = PowerLawMass(F(3))
+        args = [(mass, OrderingParam(a)) for a in (F(-1, 3), F(1, 6))]
+        expected = [fn.__wrapped__(*each) for each in args]
+        wrong, done = [], []
+        start = threading.Barrier(2, timeout=30)
+
+        def worker(i):
+            start.wait()
+            for _ in range(200):
+                if fn(*args[i]) != expected[i]:
+                    wrong.append(i)
+                time.sleep(0)  # let the other thread in between calls
+            done.append(i)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # and inside calls
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(done) == [0, 1]
+        assert wrong == []
 
 
 def diffop_apply_numeric(op, x_points, phi_derivs):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
@@ -18,6 +19,7 @@ from pdmbubble.helium import (
     z_powers,
 )
 from pdmbubble.susy import (
+    Factorization,
     commutator_check,
     factorize,
     inverse_square_coefficient,
@@ -122,6 +124,22 @@ class TestFactorization:
         assert susy.commutator_residual() == (
             susy.minus.commutator(susy.plus) - DiffOp.identity())
         assert susy.commutator_residual().is_zero()
+
+    @pytest.mark.parametrize("a", TEST_A_VALUES)
+    @pytest.mark.parametrize("n", MASS_EXPONENTS)
+    def test_memo_matches_the_undecorated_build(self, n, a):
+        mass, ordp = PowerLawMass(n), OrderingParam(a)
+        susy, built = factorize(mass, ordp), factorize.__wrapped__(mass, ordp)
+        for field in fields(Factorization):
+            assert getattr(susy, field.name) == getattr(built, field.name)
+
+    @pytest.mark.parametrize("a", TEST_A_VALUES)
+    @pytest.mark.parametrize("n", MASS_EXPONENTS)
+    def test_plus_and_kinetic_dagger_are_adjoints(self, n, a):
+        # A+ is built as K^dagger + W; W is real
+        susy = factorize(PowerLawMass(n), OrderingParam(a))
+        assert susy.plus == susy.minus.adjoint()
+        assert susy.kinetic_dagger == susy.kinetic.adjoint()
 
     @pytest.mark.parametrize("a", TEST_A_VALUES)
     @pytest.mark.parametrize("source", ["paper", "paper-eq12", "expanded"])
