@@ -37,16 +37,14 @@ class ExactnessError(AlgebraError):
 
 
 def _last_result(fn):
-    """Decorate a pure function so that a call with the same arguments as
-    the call before it returns that call's (immutable) result.
+    """``fn``, a pure function, returning its last result again when called
+    with the same arguments twice in a row; other arguments recompute.
 
-    One (args, result) pair is kept and read into a local before it is
-    compared, so a thread never pairs one call's args with another's
-    result.  A call with other arguments recomputes and replaces the pair.
-    The wrapper is a plain function carrying ``fn``'s name and module, so a
-    tracer that wraps a module's functions still times it; an
-    ``functools.lru_cache`` object would be skipped, and would keep every
-    ordering it saw.
+    The (args, result) pair is read into a local before it is compared, so
+    a thread never pairs one call's args with another call's result.  The
+    wrapper stays a plain function with ``fn``'s name and module, so a
+    tracer of module functions still times it; an ``lru_cache`` object
+    would be skipped, and would keep every ordering it saw.
     """
     last = None
 
