@@ -45,7 +45,13 @@ from .pointmass import (
     unit_measure_restore,
 )
 from .spectral import Grid, check_count, check_range, eigenvalues, stencil
-from .susy import factorize, inverse_square_coefficient, normalize_source
+from .susy import (
+    commutator_check,
+    factorize,
+    inverse_square_coefficient,
+    normalize_source,
+    partner_potential,
+)
 from .weyl import hermiticity_check, weyl_order
 
 #: What a command may raise on bad input: every error class the package
@@ -137,7 +143,7 @@ def _emit_json(data, out) -> None:
 
 def _load_params(args):
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open(args.config, "r", encoding="utf-8-sig") as fh:
             text = fh.read(MAX_CONFIG_CHARS + 1)
         if len(text) > MAX_CONFIG_CHARS:
             raise ValueError(
@@ -211,19 +217,19 @@ def _cmd_weyl(args, out) -> int:
 
 def _cmd_susy(args, out) -> int:
     source = normalize_source(args.source)
-    ordp = OrderingParam(args.a)
-    susy = factorize(PowerLawMass(Fraction(3)), ordp)
+    mass, ordp = PowerLawMass(Fraction(3)), OrderingParam(args.a)
+    susy = factorize(mass, ordp)  # the readers below share this build
     data = {
         "a": str(ordp.a),
         "b": str(ordp.b),
         "source": source,
         "paper_source_available": True,
         "W": susy.W.to_jsonable(),
-        "V_plus": susy.partner("+", source).V.to_jsonable(),
-        "V_minus": susy.partner("-", source).V.to_jsonable(),
+        "V_plus": partner_potential(mass, ordp, "+", source).V.to_jsonable(),
+        "V_minus": partner_potential(mass, ordp, "-", source).V.to_jsonable(),
         "c_a": str(inverse_square_coefficient(ordp.a, source)),
         "checks": {
-            "commutator_zero": susy.commutator_residual().is_zero(),
+            "commutator_zero": commutator_check(mass, ordp).is_zero(),
             "sum_is_multiplication": (susy.plus + susy.minus).order == 0,
         },
     }

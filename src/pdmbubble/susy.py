@@ -10,9 +10,10 @@ Hamiltonian in joules.
 ``factorize`` composes K = (1/sqrt2) m^b D m^a, its adjoint K^dagger,
 A- = K + W, A+ = K^dagger + W (= (A-)^dagger, as W is real), H+ = A+ A- and
 H- = A- A+ once per mass and ordering, and a call with the same mass and
-ordering as the call before it returns that call's ``Factorization``; so
-``commutator_check`` and both expanded ``partner_potential`` calls of one
-ordering share one build.  Two partner-potential sources are carried side by
+ordering as the call before it returns that call's ``Factorization``.
+``commutator_check``, ``ladder_product`` and ``partner_potential`` read
+their results from it, so the commutator and both expanded partner
+potentials of one ordering share one build.  Two partner-potential sources are carried side by
 side:
 
 * ``paper``    -- literal transcription of the published closed form
@@ -103,11 +104,9 @@ def _check_sign(sign: str) -> None:
 
 @dataclass(frozen=True)
 class Factorization:
-    """K, K^dagger, A-, A+, H+ and H- for one mass and ordering (see
+    """W, K, K^dagger, A-, A+, H+ and H- for one mass and ordering (see
     ``factorize``)."""
 
-    mass: PowerLawMass
-    ord: OrderingParam
     W: PolyX
     kinetic: DiffOp
     kinetic_dagger: DiffOp
@@ -115,26 +114,6 @@ class Factorization:
     plus: DiffOp
     h_plus: DiffOp
     h_minus: DiffOp
-
-    def commutator_residual(self) -> DiffOp:
-        """[A-, A+] - 1 = H- - H+ - 1; zero iff the Heisenberg algebra holds."""
-        return self.h_minus - self.h_plus - DiffOp.identity()
-
-    def partner(self, sign: str, source: str) -> PartnerPotential:
-        """V(sign): the 'paper' transcription, or H(sign) less K^dagger K
-        (the sandwich at a) for + and less K K^dagger (at b) for -."""
-        source = normalize_source(source)
-        if source == SOURCE_PAPER:
-            return partner_potential(self.mass, self.ord, sign, source)
-        _check_sign(sign)
-        if sign == "+":
-            residual = self.h_plus - self.kinetic_dagger.compose(self.kinetic)
-        else:
-            residual = self.h_minus - self.kinetic.compose(self.kinetic_dagger)
-        if residual.order != 0:
-            raise AlgebraError("partner-potential subtraction left derivative "
-                               "terms; algebra inconsistency")
-        return PartnerPotential(V=residual.coefficient(0), sign=sign, source=source)
 
 
 @_last_result
@@ -151,7 +130,7 @@ def factorize(mass: PowerLawMass, ord: OrderingParam) -> Factorization:
     kinetic_dagger = kinetic.adjoint()
     w = DiffOp.multiplication(W)  # real, so its own adjoint
     minus, plus = kinetic + w, kinetic_dagger + w
-    return Factorization(mass, ord, W, kinetic, kinetic_dagger, minus, plus,
+    return Factorization(W, kinetic, kinetic_dagger, minus, plus,
                          h_plus=plus.compose(minus), h_minus=minus.compose(plus))
 
 
@@ -163,18 +142,29 @@ def ladder_product(mass: PowerLawMass, ord: OrderingParam, sign: str) -> DiffOp:
 
 
 def commutator_check(mass: PowerLawMass, ord: OrderingParam) -> DiffOp:
-    """[A-, A+] - 1; the zero operator iff the Heisenberg algebra holds."""
-    return factorize(mass, ord).commutator_residual()
+    """[A-, A+] - 1 = H- - H+ - 1; the zero operator iff the Heisenberg
+    algebra holds."""
+    f = factorize(mass, ord)
+    return f.h_minus - f.h_plus - DiffOp.identity()
 
 
 def partner_potential(mass: PowerLawMass, ord: OrderingParam, sign: str,
                       source: str) -> PartnerPotential:
     """V(sign) by literal transcription ('paper', n = 3 only), which builds
-    no operator, or by ``Factorization.partner`` ('expanded')."""
+    no operator, or as H(sign) less its kinetic half ('expanded'): less
+    K^dagger K (the sandwich at a) for + and less K K^dagger (at b) for -."""
     source = normalize_source(source)
     _check_sign(sign)
     if source == SOURCE_EXPANDED:
-        return factorize(mass, ord).partner(sign, source)
+        f = factorize(mass, ord)
+        if sign == "+":
+            residual = f.h_plus - f.kinetic_dagger.compose(f.kinetic)
+        else:
+            residual = f.h_minus - f.kinetic.compose(f.kinetic_dagger)
+        if residual.order != 0:
+            raise AlgebraError("partner-potential subtraction left derivative "
+                               "terms; algebra inconsistency")
+        return PartnerPotential(V=residual.coefficient(0), sign=sign, source=source)
     if mass.n != 3:
         raise ValueError("paper source is transcribed for n = 3 only")
     inv5 = _paper_quadratic(ord.a) / 32

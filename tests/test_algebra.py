@@ -3,6 +3,7 @@ import inspect
 import math
 import pickle
 import random
+import re
 import sys
 import threading
 import time
@@ -109,6 +110,19 @@ class TestPolyX:
     def test_eval_fractional_negative_x_raises(self):
         with pytest.raises(DomainError):
             PolyX.mono(1, F(1, 2)).eval(-1.0)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: PowerLawMass(0.5), TypeError, "not an exact rational: 0.5"),
+    (lambda: PowerLawMass(-1), ValueError, "mass exponent must be nonnegative"),
+    (lambda: DiffOp([(PolyX.one(), -1)]), ValueError, "negative derivative order"),
+    (lambda: PolyX([(1, 0), (2, 1)]).monomial_parts(), ExactnessError,
+     "not a monomial: (1)*x^(0) + (2)*x^(1)"),
+], ids=["float-mass-exponent", "negative-mass-exponent",
+        "negative-derivative-order", "two-term-monomial-parts"])
+def test_malformed_value_refused(make, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        make()
 
 
 class TestCompose:

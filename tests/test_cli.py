@@ -67,6 +67,18 @@ class TestParams:
         data = invoke_json("params", "--config", str(cfg))
         assert data == invoke_json("params")
 
+    @pytest.mark.parametrize("argv", [
+        ["params"], ["spectrum", "--a=-1/3", "--points", "300"],
+        ["scan", "--points", "30"]], ids=["params", "spectrum", "scan"])
+    def test_config_with_a_byte_order_mark(self, tmp_path, argv):
+        # as Windows editors save it: a UTF-8 byte-order mark and CRLF lines
+        plain, marked = tmp_path / "he4.cfg", tmp_path / "he4-bom.cfg"
+        plain.write_text(HE4_CONFIG)
+        marked.write_bytes(b"\xef\xbb\xbf" + HE4_CONFIG.replace("\n", "\r\n").encode())
+        expected = invoke(*argv, "--config", str(plain))
+        assert expected[0] == 0 and expected[1]
+        assert invoke(*argv, "--config", str(marked)) == expected
+
     def test_pressure_ratio(self):
         data = invoke_json("params", "--pressure-ratio", "0.8")
         assert float(data["inputs"]["P"]) == pytest.approx(0.8 * 8.1445e4)

@@ -2,7 +2,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from pdmbubble.algebra import DiffOp, OrderingParam, PolyX, PowerLawMass, expand_sandwich
+from pdmbubble.algebra import (
+    Coeff,
+    DiffOp,
+    ExactnessError,
+    OrderingParam,
+    PolyX,
+    PowerLawMass,
+    expand_sandwich,
+)
 from pdmbubble.ordering import (
     MatchError,
     kinetic_family_coefficient,
@@ -18,11 +26,16 @@ def weyl_target():
 
 
 def family_target(gamma):
+    return family_with(PolyX.mono(gamma, -5))
+
+
+def family_with(zero_order):
+    """-[x^-3 D^2 - 3 x^-4 D + zero_order]: the n = 3 family off its last term."""
     return DiffOp(
         [
             (PolyX.mono(1, -3), 2),
             (PolyX.mono(-3, -4), 1),
-            (PolyX.mono(gamma, -5), 0),
+            (zero_order, 0),
         ],
         prefactor=-1,
     )
@@ -99,6 +112,25 @@ class TestMatchOrderings:
     def test_malformed_target_rejected(self):
         with pytest.raises(MatchError):
             match_orderings(3, DiffOp.derivative(2), "expanded")
+
+    @pytest.mark.parametrize("n, target, source, error, message", [
+        (3, DiffOp([(PolyX([(1, -3), (1, 0)]), 2)]), "expanded",
+         MatchError, "second-order coefficient is not a monomial"),
+        (3, DiffOp([(PolyX.mono(1, -3), 2)]), "expanded",
+         MatchError, "first-order term does not match the kinetic family"),
+        (3, family_with(PolyX([(1, -5), (1, 0)])), "expanded",
+         MatchError, "zero-order coefficient is not a monomial"),
+        (3, family_with(PolyX.mono(1, -4)), "expanded",
+         MatchError, "zero-order exponent does not match the kinetic family"),
+        (3, family_with(PolyX.mono(Coeff.sqrt2(), -5)), "expanded",
+         ExactnessError, "gamma is not rational"),
+        (2, expand_sandwich(PowerLawMass(2), OrderingParam(F(0))), "paper",
+         MatchError, "paper-mode matching is transcribed for n = 3 only"),
+    ], ids=["d2-not-monomial", "d-off-family", "zero-order-not-monomial",
+            "zero-order-exponent", "gamma-irrational", "paper-at-n2"])
+    def test_off_family_target_refused(self, n, target, source, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            match_orderings(n, target, source)
 
     def test_constant_mass_is_refused(self):
         # at n = 0 every ordering gives -(1/2) D^2: the quadratic is 0 = 0

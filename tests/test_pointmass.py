@@ -14,6 +14,7 @@ from pdmbubble.algebra import (
 )
 from pdmbubble.parsing import parse_hamiltonian
 from pdmbubble.pointmass import (
+    CoordinateMap,
     Measure,
     TransformError,
     measure_of_map,
@@ -153,6 +154,12 @@ class TestPmMap:
         with pytest.raises(TransformError):
             pm_map(-2)
 
+    @pytest.mark.parametrize("alpha", [F(0), F(-2, 5)])
+    def test_non_positive_alpha_refused(self, alpha):
+        with pytest.raises(TransformError,
+                           match="^coordinate map needs alpha > 0 and c > 0$"):
+            CoordinateMap(alpha=alpha, c_base=F(5, 2), c_exp=F(2, 5))
+
     def test_kinetic_lagrangian_coefficient_constant(self):
         # mass coefficient x^n (dx/dz)^2 must be exactly 1 after the map
         for n in (1, 2, 3, 5):
@@ -204,6 +211,13 @@ class TestTransform:
 
 
 class TestMeasure:
+    def test_map_outside_the_pm_family_refused(self):
+        # c alpha is a power of c_base only when alpha = 1/c_base
+        cmap = CoordinateMap(alpha=F(1, 2), c_base=F(3), c_exp=F(1))
+        with pytest.raises(ExactnessError, match="^measure only available "
+                           "in power form for pm maps$"):
+            measure_of_map(cmap)
+
     def test_bubble_measure(self):
         mu = measure_of_map(pm_map(3))
         assert mu == Measure(coeff_base=F(5, 2), coeff_exp=F(-3, 5), z_exp=F(-3, 5))

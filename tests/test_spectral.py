@@ -59,6 +59,14 @@ class TestAssemble:
         with pytest.raises(AssembleError, match="restore unit measure"):
             assemble(op, Grid(0.1, 1.0, 10))
 
+    @pytest.mark.parametrize("op, message", [
+        (DiffOp.derivative(3), "operator order above 2"),
+        (DiffOp([(PolyX.mono(1, 1), 2)]),
+         "second-derivative coefficient must be constant")])
+    def test_operator_outside_the_stencil_refused(self, op, message):
+        with pytest.raises(AssembleError, match=f"^{message}$"):
+            assemble(op, Grid(0.1, 1.0, 10))
+
     def test_inverse_square_entries(self):
         op = z_space_operator(OrderingParam(F(-1, 3)), "expanded")
         g = Grid(0.05, 3.0, 50)

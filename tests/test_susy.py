@@ -1,4 +1,6 @@
+import io
 import random
+from collections import Counter
 from dataclasses import fields
 from fractions import Fraction as F
 
@@ -12,6 +14,7 @@ from pdmbubble.algebra import (
     PowerLawMass,
     expand_sandwich,
 )
+from pdmbubble.cli import run
 from pdmbubble.helium import (
     DEFAULT_HE4,
     derived_params,
@@ -124,9 +127,9 @@ class TestFactorization:
         assert susy.plus == susy.minus.adjoint()
         assert susy.h_plus == susy.plus.compose(susy.minus)
         assert susy.h_minus == susy.minus.compose(susy.plus)
-        assert susy.commutator_residual() == (
-            susy.minus.commutator(susy.plus) - DiffOp.identity())
-        assert susy.commutator_residual().is_zero()
+        residual = commutator_check(mass, ordp)
+        assert residual == susy.minus.commutator(susy.plus) - DiffOp.identity()
+        assert residual.is_zero()
 
     @pytest.mark.parametrize("a", TEST_A_VALUES)
     @pytest.mark.parametrize("n", MASS_EXPONENTS)
@@ -135,15 +138,6 @@ class TestFactorization:
         susy, built = factorize(mass, ordp), factorize.__wrapped__(mass, ordp)
         for field in fields(Factorization):
             assert getattr(susy, field.name) == getattr(built, field.name)
-
-    @pytest.mark.parametrize("a", TEST_A_VALUES)
-    @pytest.mark.parametrize("source", ["paper", "paper-eq12", "expanded"])
-    def test_partner_method_matches_module_function(self, a, source):
-        ordp = OrderingParam(a)
-        susy = factorize(N3, ordp)
-        for sign in "+-":
-            assert susy.partner(sign, source) == partner_potential(
-                N3, ordp, sign, source)
 
     def test_error_order_source_then_sign_then_exponent(self):
         n2, zero = PowerLawMass(F(2)), OrderingParam(F(0))
@@ -154,7 +148,43 @@ class TestFactorization:
         with pytest.raises(ValueError, match="n = 3 only"):
             partner_potential(n2, zero, "+", "paper")
         with pytest.raises(ValueError, match=r"^sign must be '\+' or '-'$"):
-            factorize(n2, zero).partner("x", "expanded")
+            partner_potential(n2, zero, "x", "expanded")
+
+
+@pytest.fixture
+def op_calls(monkeypatch):
+    """Counts of the DiffOp.compose and DiffOp.adjoint calls made from here
+    on, by name."""
+    counts = Counter()
+    for name in ("compose", "adjoint"):
+        def counted(*args, _name=name, _method=getattr(DiffOp, name)):
+            counts[_name] += 1
+            return _method(*args)
+        monkeypatch.setattr(DiffOp, name, counted)
+    return counts
+
+
+class TestOneBuild:
+    """The readers of one ordering share its one ``factorize`` build: K, K^dagger
+    and H+- take 4 compose and 1 adjoint calls, and each expanded partner
+    potential one compose more, for K^dagger K or K K^dagger."""
+
+    @pytest.mark.parametrize("source, composes", [("expanded", 6), ("paper", 4)])
+    def test_susy_command(self, op_calls, source, composes):
+        factorize(N3, OrderingParam(F(0)))  # the last build is another ordering's
+        op_calls.clear()
+        out, err = io.StringIO(), io.StringIO()
+        assert run(["susy", "--a=-5/11", "--source", source], out, err) == 0
+        assert op_calls == {"compose": composes, "adjoint": 1}
+
+    def test_commutator_then_both_expanded_partners(self, op_calls):
+        mass, ordp = PowerLawMass(F(5, 2)), OrderingParam(F(-3, 7))
+        factorize(N3, OrderingParam(F(0)))  # the last build is another ordering's
+        op_calls.clear()
+        commutator_check(mass, ordp)
+        for sign in "+-":
+            partner_potential(mass, ordp, sign, "expanded")
+        assert op_calls == {"compose": 6, "adjoint": 1}
 
 
 class TestHeisenbergAlgebra:

@@ -1,13 +1,26 @@
-"""Compare the CLI of the working tree with the CLI at a git revision.
+"""Compare the CLI and exact layer of the working tree with those at a git
+revision.
 
     python3 tools/stdout_identity.py REV [--commands FILE]
 
 ``src/`` at REV is extracted with ``git archive`` into a temporary directory.
-One fixed list of commands (plus the argv lists in FILE, a JSON list of lists
-of strings) then runs in-process through ``pdmbubble.cli.run`` under each
-tree, in one subprocess per tree.  Every command whose exit code, stdout or
-stderr differs is printed; the exit status is 1 if any stdout differs and 0
-otherwise.  Warnings are shown on every occurrence and count as stderr.
+Each tree then runs, in one subprocess of its own, two things:
+
+* one fixed list of commands (plus the argv lists in FILE, a JSON list of
+  lists of strings), in-process through ``pdmbubble.cli.run``.  Every command
+  whose exit code, stdout or stderr differs is printed.  Warnings are shown on
+  every occurrence and count as stderr.
+* the ordering-sweep chain of ``bench/workloads.py`` (``OrderingCall``: the
+  sandwich, commutator, partner potentials, restored operator, gamma,
+  Hermiticity report, Weyl operator and ordering match for one n and a) over
+  the 40 cases of each of seeds 1-8, 320 cases.  Both trees run the working
+  tree's ``bench/workloads.py``, which is only read.  Each result is hashed
+  as sha256 of its ``repr`` and of its ``to_jsonable`` form (a field without
+  one is read through its dataclass fields, or as ``str``), and every case
+  whose hashes differ is printed.
+
+Both tallies are printed; the exit status is 1 if any stdout or any exact
+result differs and 0 otherwise.
 
 Only the standard library is imported here; the two subprocesses need what
 ``pdmbubble`` needs.
@@ -28,11 +41,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: Parameter files the commands name as "@NAME"; each is written once and
-#: read by both trees from the same path.
+#: The default helium-4 parameters as a file with CRLF lines.
+HE4 = ("# typical superfluid helium values at 4 K\r\nsigma = 0.12e-3\r\n"
+       "P_v = 8.1445e4\r\nrho_L = 140\r\nrho_v = 0\r\nT = 4\r\nP = 0\r\n")
+
+#: Parameter files the commands name as "@NAME"; each is written once, as
+#: UTF-8, and read by both trees from the same path.
 CONFIGS = {
-    "he4": "# typical superfluid helium values at 4 K\r\nsigma = 0.12e-3\r\n"
-           "P_v = 8.1445e4\r\nrho_L = 140\r\nrho_v = 0\r\nT = 4\r\nP = 0\r\n",
+    "he4": HE4,
+    "he4_bom": "\ufeff" + HE4,  # as Windows editors save it
     "r_c_huge": "sigma = 1e200\nP_v = 1\nrho_L = 140\nT = 4\n",
     "v_sys_huge": "sigma = 1e100\nP_v = 1\nrho_L = 1\nT = 4\nP = 0\n",
     "light": "sigma = 1e100\nP_v = 1\nrho_L = 1e-300\nT = 4\nP = 0\n",
@@ -134,7 +151,8 @@ def error_set() -> list[list[str]]:
     never reads, the parser's refusals of a sum as divisor and of a sum
     power that is fractional, negative or past 16, and spectrum's points x
     count budget, with the invalid --points or --count it leaves to their
-    own refusals and a bad count named before a bad source."""
+    own refusals and a bad count named before a bad source, and the he4 file
+    read with a leading UTF-8 byte-order mark."""
     nines = "9" * 4096
     spectrum = ["spectrum", "--a=-1/3"]
     return [
@@ -185,6 +203,7 @@ def error_set() -> list[list[str]]:
         ["weyl", "--hamiltonian", "Q*x"],
         ["scan", "--pressure-ratio", "0.5", "--points", "3"],
         ["params", "--config", "@he4"],
+        ["params", "--config", "@he4_bom"],
         ["spectrum", "--a=-1/3", "--config", "@he4", "--points", "300"],
         ["scan", "--config", "@he4", "--points", "30"],
         ["params", "--config", "@r_c_huge"],
@@ -236,13 +255,32 @@ def error_set() -> list[list[str]]:
     ]
 
 
-# Runs in each subprocess: reads the argv lists as JSON on stdin, writes one
-# [code, sha256 of stdout, stdout length, stderr] per command as JSON.
+SEEDS = range(1, 9)
+
+# Runs in each subprocess: reads {"commands", "bench", "seeds"} as JSON on
+# stdin; writes one [code, sha256 of stdout, stdout length, stderr] per command
+# and one [label, sha256 of repr, sha256 of to_jsonable] per ordering-sweep
+# case, as JSON.
 RUNNER = """
-import contextlib, hashlib, io, json, sys, traceback, warnings
+import contextlib, dataclasses, hashlib, io, json, sys, traceback, warnings
 from pdmbubble.cli import run
-results = []
-for argv in json.load(sys.stdin):
+
+def sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+def jsonable(value):
+    if hasattr(value, "to_jsonable"):
+        return value.to_jsonable()
+    if dataclasses.is_dataclass(value):
+        return {f.name: jsonable(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [jsonable(v) for v in value]
+    return str(value)
+
+job = json.load(sys.stdin)
+commands = []
+for argv in job["commands"]:
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
@@ -252,15 +290,28 @@ for argv in json.load(sys.stdin):
             code = None
             err.write(traceback.format_exc().splitlines()[-1] + "\\n")
     text = out.getvalue()
-    results.append([code, hashlib.sha256(text.encode()).hexdigest(),
-                    len(text), err.getvalue()])
-json.dump(results, sys.stdout)
+    commands.append([code, sha(text), len(text), err.getvalue()])
+
+sys.path.insert(0, job["bench"])
+from workloads import Library, make_cases
+lib = Library()
+exact = []
+for seed in job["seeds"]:
+    for index, case in enumerate(make_cases("ordering-sweep", seed)):
+        for call in case:
+            result = call.run(lib)
+            exact.append([f"seed {seed} case {index} (n={call.n}, a={call.a})",
+                          sha(repr(result)),
+                          sha(json.dumps(jsonable(result), sort_keys=True))])
+json.dump({"commands": commands, "exact": exact}, sys.stdout)
 """
 
 
-def run_tree(src: Path, commands: list[list[str]]) -> list:
+def run_tree(src: Path, commands: list[list[str]]) -> dict:
+    job = {"commands": commands, "bench": str(ROOT / "bench"),
+           "seeds": list(SEEDS)}
     proc = subprocess.run(
-        [sys.executable, "-c", RUNNER], input=json.dumps(commands),
+        [sys.executable, "-c", RUNNER], input=json.dumps(job),
         capture_output=True, text=True, check=False,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
@@ -301,7 +352,8 @@ def main() -> int:
         old = run_tree(extract_src(args.rev, tmp / "rev"), argvs)
         new = run_tree(ROOT / "src", argvs)
     differs = {"stdout": 0, "stderr": 0, "exit": 0}
-    for argv, (c0, h0, n0, e0), (c1, h1, n1, e1) in zip(commands, old, new):
+    for argv, (c0, h0, n0, e0), (c1, h1, n1, e1) in zip(
+            commands, old["commands"], new["commands"]):
         diffs = []
         if c0 != c1:
             diffs.append(f"exit {c0} -> {c1}")
@@ -314,10 +366,24 @@ def main() -> int:
             differs["stderr"] += 1
         if diffs:
             print(" ".join(argv) + ": " + "; ".join(diffs))
+    labels = [[label for label, *_ in tree["exact"]] for tree in (old, new)]
+    if labels[0] != labels[1]:
+        sys.exit("the two trees ran different ordering-sweep cases")
+    exact = {"repr": 0, "to_jsonable": 0}
+    for (label, r0, j0), (_, r1, j1) in zip(old["exact"], new["exact"]):
+        diffs = [kind for kind, h0, h1 in (("repr", r0, r1),
+                                           ("to_jsonable", j0, j1)) if h0 != h1]
+        for kind in diffs:
+            exact[kind] += 1
+        if diffs:
+            print(f"{label}: {' and '.join(diffs)} differ")
     print(f"{len(commands)} commands against {args.rev}: "
           + ", ".join(f"{n} {kind}" for kind, n in differs.items())
           + " differences")
-    return 1 if differs["stdout"] else 0
+    print(f"{len(new['exact'])} ordering-sweep cases against {args.rev}: "
+          + ", ".join(f"{n} {kind}" for kind, n in exact.items())
+          + " differences")
+    return 1 if differs["stdout"] or any(exact.values()) else 0
 
 
 if __name__ == "__main__":
