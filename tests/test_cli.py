@@ -74,7 +74,8 @@ class TestParams:
         # as Windows editors save it: a UTF-8 byte-order mark and CRLF lines
         plain, marked = tmp_path / "he4.cfg", tmp_path / "he4-bom.cfg"
         plain.write_text(HE4_CONFIG)
-        marked.write_bytes(b"\xef\xbb\xbf" + HE4_CONFIG.replace("\n", "\r\n").encode())
+        crlf = HE4_CONFIG.replace("\n", "\r\n")
+        marked.write_bytes(b"\xef\xbb\xbf" + crlf.encode())
         expected = invoke(*argv, "--config", str(plain))
         assert expected[0] == 0 and expected[1]
         assert invoke(*argv, "--config", str(marked)) == expected
